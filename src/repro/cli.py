@@ -523,11 +523,10 @@ def cmd_worker(args) -> int:
         raise SystemExit("worker: --jobs must be >= 0 (0 = auto-detect)")
     if args.lease <= 0:
         raise SystemExit("worker: --lease must be > 0 seconds")
-    started = run_fleet(args.root, args.jobs, lease_s=args.lease,
-                        poll_s=args.poll, drain=args.drain,
-                        max_idle=args.max_idle,
-                        metrics_out=args.metrics_out)
-    print(f"worker: {started} loop(s) exited (root {args.root})")
+    slots = run_fleet(args.root, args.jobs, lease_s=args.lease,
+                      poll_s=args.poll, drain=args.drain,
+                      max_idle=args.max_idle, metrics_out=args.metrics_out)
+    print(f"worker: 1 loop(s) exited, {slots} slot(s) (root {args.root})")
     return 0
 
 
@@ -694,9 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bombs", nargs="*")
     p.add_argument("--tools", nargs="*")
     p.add_argument("--jobs", type=int, metavar="N",
-                   help="evaluate cells on N worker processes "
-                        "(default: serial, byte-identical output; "
-                        "0 = one per usable CPU)")
+                   help="keep N cells in flight, each in its own worker "
+                        "process (default: serial, in-process; same "
+                        "output; 0 = one per usable CPU)")
     p.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="per-cell wall-clock budget; an overrun kills the "
                         "cell's worker and classifies the cell E")
@@ -843,8 +842,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="service root shared with `repro serve` and the "
                         "other workers (default ./.repro-service)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker loops to fork (default 1; 0 = one per "
-                        "usable CPU)")
+                   help="cells this worker keeps in flight, each in its "
+                        "own subprocess (default 1; 0 = one per usable "
+                        "CPU)")
     p.add_argument("--lease", type=float, default=30.0, metavar="SECONDS",
                    help="claim lease duration; a worker missing two "
                         "renewal heartbeats forfeits its cell "
@@ -859,8 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-idle", type=float, metavar="SECONDS",
                    help="exit after this long without claiming a cell")
     p.add_argument("--metrics-out", metavar="FILE.jsonl",
-                   help="stream worker metrics to FILE (with --jobs N, "
-                        "each loop writes FILE.<i>)")
+                   help="stream worker metrics, with every cell's "
+                        "merged in, to FILE (one stream for all --jobs "
+                        "slots)")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(

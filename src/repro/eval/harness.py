@@ -6,12 +6,14 @@ evaluates a single (bomb, tool) pair.  Results carry both the observed
 outcome and the agreement with the paper, so EXPERIMENTS.md and the
 benchmark suite can report paper-vs-measured per cell.
 
-Cell execution can delegate to the campaign service
-(:mod:`repro.service`): ``run_cell(..., timeout=)`` runs the cell in a
-killable worker process so a stuck tool maps to ``E`` instead of
-hanging the harness, and ``run_table2(..., cache=, timeout=)`` routes
-cells through the content-addressed result store and the fault-tolerant
-executor.
+Without a timeout or a worker count, cells run serially in-process
+(with ``cache=``, served from and stored to the content-addressed result
+store).  Every parallel or timed cell goes through the campaign
+service's one scheduler, :class:`repro.service.fleet.FleetWorker`, over
+a private journal: ``run_cell(..., timeout=)`` runs the cell in a
+killable worker process so a stuck tool maps to ``E`` instead of hanging
+the harness, and ``run_table2(..., jobs=, timeout=)`` keeps N such
+cells in flight.
 """
 
 from __future__ import annotations
@@ -147,15 +149,15 @@ def run_cell(bomb: Bomb, tool_name: str,
              timeout: float | None = None) -> CellResult:
     """Evaluate one (bomb, tool) pair.
 
-    With *timeout* (wall-clock seconds) the cell runs in a killable
-    worker process via the campaign service: an overrun is classified
+    With *timeout* (wall-clock seconds) the cell runs once, without
+    retries, in a killable worker process: an overrun is classified
     ``E`` with a ``resource-exhausted`` diagnostic instead of hanging
     the caller.
     """
     if timeout is not None:
-        from ..service.executor import run_cell_isolated
-
-        return run_cell_isolated(bomb, tool_name, timeout)
+        result = _run_leased((bomb.bomb_id,), (tool_name,), jobs=1,
+                             store=None, timeout=timeout, retries=0)
+        return result.cells[(bomb.bomb_id, tool_name)]
     tool = get_tool(tool_name)
     with obs.span("cell", bomb=bomb.bomb_id, tool=tool_name) as sp, \
             profile.cell(bomb.bomb_id, tool_name):
@@ -197,88 +199,29 @@ def _print_cell(cell: CellResult) -> None:
     )
 
 
-def _cell_worker(bomb_id: str, tool_name: str,
-                 metrics_path: str | None,
-                 trace_ctx: tuple | None = None) -> CellResult:
-    """Evaluate one cell in a worker process.
+def _run_leased(bomb_ids: tuple[str, ...], tools: tuple[str, ...], *,
+                jobs: int, store, **policy) -> Table2Result:
+    """The bomb x tool cells through the fleet worker over a private
+    journal in a temp dir: *jobs* cells in flight, each in its own
+    killable process, served from and stored to *store* (or none).
+    *policy* is the ``timeout``/``retries`` of a campaign spec.
 
-    Any recorder inherited across ``fork`` is dropped first — its sinks
-    write to the parent's file descriptors.  When the parent session has
-    a recorder, the worker records to its own JSONL stream (with raw
-    histogram values) at *metrics_path*; the parent absorbs it after the
-    cell completes, so merged stage timings stay exact.
-
-    *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from the
-    parent: the worker recorder joins the parent's trace (its top span
-    parented under the harness span) and mirrors the parent's
-    attribution-profiler state.
+    Cells are keyed by (bomb, tool), so completion order cannot change
+    the rendered or JSON output.
     """
-    obs.uninstall()
-    profile.uninstall()
-    from ..smt import querylog
-    querylog.uninstall()
-    bomb = get_bomb(bomb_id)
-    if metrics_path is None:
-        return run_cell(bomb, tool_name)
-    trace_id, parent_span_id, profiling = trace_ctx or (None, None, False)
-    recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
-                            hist_values=True, trace_id=trace_id,
-                            parent_span_id=parent_span_id)
-    with obs.recording(recorder):
-        with profile.profiling(profile.Profiler() if profiling else None):
-            return run_cell(bomb, tool_name)
-
-
-def _run_table2_parallel(bomb_ids: tuple[str, ...], tools: tuple[str, ...],
-                         verbose: bool, jobs: int) -> Table2Result:
-    """Fan the (bomb, tool) cell matrix out over worker processes.
-
-    Cells are independent, so only the fan-out/merge order matters for
-    reproducibility: results are collected and reported in submission
-    order, which makes the outcome matrix (and the rendered/JSON output)
-    byte-identical to a serial run.
-    """
-    import shutil
     import tempfile
-    from concurrent.futures import ProcessPoolExecutor
-    from pathlib import Path
 
-    from ..obs import read_events
+    from ..service.campaign import CampaignService, CampaignSpec
+    from ..service.fleet import FleetWorker
 
-    recorder = obs.active()
-    pairs = [(b, t) for b in bomb_ids for t in tools]
-    tmpdir = tempfile.mkdtemp(prefix="repro-table2-") if recorder else None
     result = Table2Result()
-    try:
-        with obs.span("table2", jobs=jobs, cells=len(pairs)):
-            trace_ctx = None
-            if recorder is not None:
-                # Stitch: workers join this trace, their top spans
-                # parented under the open "table2" span.
-                trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                             profile.active() is not None)
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pairs))
-            ) as pool:
-                futures = []
-                for i, (bomb_id, tool_name) in enumerate(pairs):
-                    path = (str(Path(tmpdir) / f"cell-{i}.jsonl")
-                            if tmpdir else None)
-                    futures.append(
-                        (path, pool.submit(_cell_worker, bomb_id,
-                                           tool_name, path, trace_ctx))
-                    )
-                for path, future in futures:
-                    cell = future.result()
-                    result.add(cell)
-                    obs.count("eval.cells_merged")
-                    if path is not None:
-                        recorder.absorb(read_events(path))
-                    if verbose:
-                        _print_cell(cell)
-    finally:
-        if tmpdir is not None:
-            shutil.rmtree(tmpdir, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="repro-matrix-") as root:
+        cid = CampaignService(root).submit(
+            CampaignSpec(bombs=tuple(bomb_ids), tools=tuple(tools), **policy))
+        worker = FleetWorker(root, slots=jobs, campaign=cid,
+                             on_cell=result.add)
+        worker.store = store
+        worker.run(drain=True)
     return result
 
 
@@ -292,29 +235,47 @@ def run_table2(
 ) -> Table2Result:
     """Run the full (or a sliced) Table II evaluation.
 
-    *jobs* > 1 evaluates the independent (bomb, tool) cells on a
-    process pool; the default serial path is byte-identical to previous
-    releases, and a parallel run produces the same outcome matrix.
-    ``jobs=0`` auto-sizes the pool to the host's usable CPUs
+    *jobs* > 1 keeps that many independent (bomb, tool) cells in
+    flight, each in its own worker process; a parallel run produces the
+    same outcome matrix as the default serial in-process loop.
+    ``jobs=0`` auto-sizes to the host's usable CPUs
     (:func:`repro.service.fleet.auto_jobs` — the process CPU count
     where the platform reports one, else the scheduling affinity mask,
-    else ``os.cpu_count()``).
+    else ``os.cpu_count()``).  *timeout* caps each cell's wall clock,
+    mapping overruns to ``E``.  Parallel or timed cells go through the
+    fleet worker (see :func:`_run_leased`).
 
     *cache* (a :class:`repro.service.ResultStore` or a directory path)
     serves unchanged cells from the content-addressed store and stores
-    fresh ones; *timeout* caps each cell's wall clock, mapping overruns
-    to ``E``.  Either option routes parallel runs through the campaign
-    service's fault-tolerant executor instead of the plain process
-    pool.
+    fresh ones.
     """
     store = None
     if cache is not None:
-        from ..fuzz import corpus as fuzz_corpus
-        from ..ir import superblock
         from ..service.store import ResultStore
-        from ..smt import querylog
 
         store = cache if isinstance(cache, ResultStore) else ResultStore(cache)
+    if jobs == 0:
+        from ..service.fleet import auto_jobs
+
+        jobs = auto_jobs()
+    jobs = jobs or 1
+    if jobs > 1 or timeout is not None:
+        with obs.span("table2", jobs=jobs, cells=len(bomb_ids) * len(tools)):
+            result = _run_leased(bomb_ids, tools, jobs=jobs, store=store,
+                                 timeout=timeout)
+            obs.count("eval.cells_merged", len(result.cells))
+        if verbose:
+            for bomb_id in bomb_ids:
+                for tool_name in tools:
+                    _print_cell(result.cells[(bomb_id, tool_name)])
+        return result
+    from ..service.fingerprint import cell_key
+
+    if store is not None:
+        from ..fuzz import corpus as fuzz_corpus
+        from ..ir import superblock
+        from ..smt import querylog
+
         # Warm campaigns also skip lifting: caches created from here on
         # preload from (and persist into) the store's lift/ tree.
         superblock.attach_store(store)
@@ -324,20 +285,6 @@ def run_table2(
         # Tools whose policy sets ``query_log`` persist captured solver
         # queries under smtlog/ the same way (see repro.smt.querylog).
         querylog.attach_store(store)
-    if jobs == 0:
-        from ..service.fleet import auto_jobs
-
-        jobs = auto_jobs()
-    if jobs is not None and jobs > 1:
-        if store is None and timeout is None:
-            return _run_table2_parallel(tuple(bomb_ids), tuple(tools),
-                                        verbose, jobs)
-        from ..service.executor import execute_matrix
-
-        return execute_matrix(tuple(bomb_ids), tuple(tools), jobs=jobs,
-                              timeout=timeout, store=store, verbose=verbose)
-    from ..service.fingerprint import cell_key
-
     result = Table2Result()
     for bomb_id in bomb_ids:
         bomb = get_bomb(bomb_id)
@@ -345,8 +292,8 @@ def run_table2(
             key = cell_key(bomb, tool_name) if store is not None else None
             cell = store.get(key, bomb) if store is not None else None
             if cell is None:
-                cell = run_cell(bomb, tool_name, timeout=timeout)
-                if store is not None and not cell.infra_failure:
+                cell = run_cell(bomb, tool_name)
+                if store is not None:
                     store.put(key, cell)
             result.add(cell)
             if verbose:

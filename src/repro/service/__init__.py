@@ -8,16 +8,18 @@ Turns the one-shot Table II harness into a durable analysis service:
 * :mod:`~repro.service.store` — the content-addressed
   :class:`ResultStore` (atomic writes, schema-versioned documents);
 * :mod:`~repro.service.queue` — the durable :class:`JobQueue` (JSONL
-  journal with claim/complete records, crash recovery on replay);
-* :mod:`~repro.service.executor` — the fault-tolerant
-  :class:`CellExecutor` (per-cell wall-clock timeouts, crash requeue
-  with backoff, bounded retries, exact metrics absorption);
+  journal with submit/claim/renew/requeue/done/exhaust records);
+* :mod:`~repro.service.fleet` — :class:`FleetWorker`, the one cell
+  scheduler: lease-based claims over a shared journal, up to N cells
+  in flight, per-cell wall-clock timeouts, crash requeue with backoff,
+  bounded retries, exact metrics absorption.  ``table2 --jobs/--timeout``,
+  ``campaign run`` and ``repro worker`` are all thin clients of it;
+* :mod:`~repro.service.executor` — ``_worker_main``, the forked
+  per-cell entry point, and the synthesized infrastructure-failure cell;
 * :mod:`~repro.service.campaign` — the :class:`CampaignService` client
   API behind ``repro campaign submit/run/status/results``;
 * :mod:`~repro.service.spec` — declarative JSON/TOML campaign specs
   (selector resolution, strict validation, per-tenant quotas);
-* :mod:`~repro.service.fleet` — lease-based multi-host workers over a
-  shared journal (``repro worker``);
 * :mod:`~repro.service.api` — the asyncio HTTP front door
   (``repro serve``): submit/status/results, NDJSON progress streams,
   Prometheus ``/metrics``.
@@ -33,15 +35,7 @@ from .campaign import (
     status_finished,
     watch_status,
 )
-from .executor import (
-    DEFAULT_BACKOFF,
-    DEFAULT_RETRIES,
-    KILL_CELL_ENV,
-    CellExecutor,
-    execute_matrix,
-    infrastructure_failure_cell,
-    run_cell_isolated,
-)
+from .executor import DEFAULT_RETRIES, KILL_CELL_ENV, infrastructure_failure_cell
 from .fingerprint import (
     CACHE_SCHEMA,
     bomb_fingerprint,
@@ -50,6 +44,7 @@ from .fingerprint import (
     image_digest,
 )
 from .fleet import (
+    DEFAULT_BACKOFF,
     DEFAULT_LEASE_S,
     FleetQueue,
     FleetWorker,
@@ -77,7 +72,6 @@ __all__ = [
     "CampaignReport",
     "CampaignService",
     "CampaignSpec",
-    "CellExecutor",
     "DEFAULT_BACKOFF",
     "DEFAULT_LEASE_S",
     "DEFAULT_RETRIES",
@@ -98,7 +92,6 @@ __all__ = [
     "check_quota",
     "decode_cell",
     "encode_cell",
-    "execute_matrix",
     "harness_fingerprint",
     "image_digest",
     "infrastructure_failure_cell",
@@ -106,7 +99,6 @@ __all__ = [
     "load_spec_file",
     "parse_spec_text",
     "render_status_line",
-    "run_cell_isolated",
     "run_fleet",
     "run_worker",
     "serve_forever",

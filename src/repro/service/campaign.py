@@ -11,9 +11,11 @@ retries).  The service root is a directory::
 The store is shared by every campaign under the root, so re-submitting
 an identical workload (a fresh campaign id) performs **zero** tool
 analyses: every cell is served from the store and the Table II output
-is byte-identical to the cold run.  Killing the driver (or a worker)
-mid-campaign never loses or duplicates a cell: the journal's
-claim/complete records replay on the next ``run``.
+is byte-identical to the cold run.  ``run`` drives the campaign with a
+:class:`~repro.service.fleet.FleetWorker` scoped to it.  Killing the
+driver (or a worker) mid-campaign never loses or duplicates a cell: the
+next ``run`` finds the dead process's claims and requeues them at once
+(see :mod:`repro.service.fleet`).
 
 Campaign ids are content-derived (``c<digest8>`` of the workload) with
 a numeric suffix per submission, so ``submit`` is cheap to script and
@@ -30,8 +32,9 @@ from pathlib import Path
 
 from .. import obs
 from ..bombs import get_bomb
-from .executor import DEFAULT_RETRIES, CellExecutor
+from .executor import DEFAULT_RETRIES
 from .fingerprint import cell_key
+from .fleet import FleetWorker, failure_cell
 from .queue import JobQueue
 from .store import ResultStore
 
@@ -87,7 +90,7 @@ class CampaignSpec:
 
 @dataclass
 class CampaignReport:
-    """Outcome of one ``run``: the matrix plus executor statistics."""
+    """Outcome of one ``run``: the matrix plus the worker's tallies."""
 
     campaign_id: str
     table: object  # Table2Result
@@ -144,31 +147,20 @@ class CampaignService:
         """Drive the campaign's queue to completion (resumable)."""
         from ..eval.harness import Table2Result
 
-        spec = self.spec(cid)
+        slots = jobs if jobs is not None else self.spec(cid).jobs
         result = Table2Result()
         with obs.span("campaign", id=cid):
-            with JobQueue(self._campaign_dir(cid) / "queue.jsonl") as queue:
-                executor = CellExecutor(
-                    queue,
-                    jobs=jobs if jobs is not None else spec.jobs,
-                    timeout=spec.timeout,
-                    retries=spec.retries,
-                    store=self.store,
-                )
-                stats = executor.run(result.add)
+            tally = FleetWorker(self.root, slots=slots, campaign=cid,
+                                on_cell=result.add).run(drain=True)
+        stats = {"cells": len(result.cells), "cache_hits": tally.cached,
+                 "computed": tally.computed, "timeouts": tally.timeouts,
+                 "requeued": tally.requeued, "exhausted": tally.exhausted}
         return CampaignReport(campaign_id=cid, table=result, stats=stats)
 
     def status(self, cid: str) -> dict:
-        """Queue-level progress snapshot (does not execute anything).
-
-        Reads with ``recover_claims=False``: a claim held by a live
-        fleet worker on another host must report as *claimed*, not be
-        virtually reverted to pending the way a driver's crash-recovery
-        replay would.
-        """
+        """Queue-level progress snapshot (does not execute anything)."""
         spec = self.spec(cid)
-        with JobQueue(self._campaign_dir(cid) / "queue.jsonl",
-                      recover_claims=False) as queue:
+        with JobQueue(self._campaign_dir(cid) / "queue.jsonl") as queue:
             counts = queue.counts()
             results: dict[str, int] = {}
             for job in queue.ordered_jobs():
@@ -184,18 +176,25 @@ class CampaignService:
         }
 
     def results(self, cid: str):
-        """Assemble the campaign's matrix from the shared store.
+        """Assemble the campaign's matrix from its journal and the store.
 
-        Cells not (yet) in the store are simply absent from the result
-        — ``render_table2`` shows them as ``?``.
+        A job the journal ends in a timeout or an exhaustion is the same
+        synthesized ``E`` cell ``run`` reports; every other cell comes
+        from the shared store.  Cells not (yet) in the store are simply
+        absent from the result — ``render_table2`` shows them as ``?``.
         """
         from ..eval.harness import Table2Result
 
         spec = self.spec(cid)
+        with JobQueue(self._campaign_dir(cid) / "queue.jsonl") as queue:
+            jobs = {job.cell: job for job in queue.ordered_jobs()}
         result = Table2Result()
         for bomb_id, tool in spec.cells():
-            bomb = get_bomb(bomb_id)
-            cell = self.store.get(cell_key(bomb, tool), bomb)
+            job = jobs.get((bomb_id, tool))
+            cell = failure_cell(job, spec.timeout) if job else None
+            if cell is None:
+                bomb = get_bomb(bomb_id)
+                cell = self.store.get(cell_key(bomb, tool), bomb)
             if cell is not None:
                 result.add(cell)
         return result

@@ -1,34 +1,31 @@
-"""Fault-tolerant cell execution: per-job processes, timeouts, retries.
+"""The forked cell entry point and the synthesized infrastructure-failure cell.
 
-Every cell runs in its own forked worker process, which gives the
-service three properties the PR-2 ``ProcessPoolExecutor`` fan-out could
-not provide:
+Every cell that runs outside the serial in-process loop — ``table2
+--jobs/--timeout``, ``run_cell(timeout=)``, ``campaign run`` and ``repro
+worker`` — is started by :class:`repro.service.fleet.FleetWorker` as a
+forked process running :func:`_worker_main`.  That function is the one
+place that drops the observability, profiler and query-log state a
+child inherits across ``fork``, and it gives every attempt three
+properties:
 
-* **wall-clock timeouts** — the driver kills a worker that exceeds the
-  per-cell budget and classifies the cell ``E`` with a
-  ``resource-exhausted`` diagnostic (a stuck tool can never hang a
-  campaign or ``repro table2 --timeout``);
-* **crash isolation** — a worker dying mid-cell (OOM-kill, SIGKILL,
-  interpreter abort) only loses that attempt: the job is requeued with
-  exponential backoff and re-run, up to a bounded number of retries,
-  after which the cell is classified ``E``;
-* **exact metrics** — each worker records to a private JSONL stream the
-  driver absorbs after a *successful* attempt, so merged counters and
-  stage spans never double-count killed attempts.
+* **wall-clock timeouts** — the worker's parent kills an attempt that
+  exceeds the per-cell budget, and a SIGTERM flushes in-flight spans
+  first, so killed cells still appear in traces;
+* **crash isolation** — an attempt dying mid-cell (OOM-kill, SIGKILL,
+  interpreter abort) only loses that attempt; the parent requeues or
+  exhausts the job;
+* **exact metrics** — each attempt records to a private JSONL stream the
+  parent absorbs after a *successful* attempt or a terminal timeout, so
+  merged counters and stage spans never double-count retried attempts.
 
 Results travel through the filesystem (pickle written to a temp file,
 then ``os.replace``): a killed worker can leave no torn result, and the
-driver distinguishes "finished" (result file exists) from "died"
+parent distinguishes "finished" (result file exists) from "died"
 (no file) purely by what survived.
 
-Infrastructure failures (timeout, crash exhaustion) are *not* written
-to the result store — they depend on the run's timeout/retry settings,
-which are not part of the cache key — while every genuinely computed
-cell (including a tool's own in-budget ``E``) is cached.
-
 Fault injection for tests: set ``REPRO_SERVICE_KILL_CELL=bomb:tool`` in
-the environment and the worker SIGKILLs itself mid-cell on the first
-attempt of that cell, exercising the requeue path end to end.
+the environment and the worker SIGKILLs itself on the first attempt of
+that cell, after the cell ran and before its result is persisted.
 """
 
 from __future__ import annotations
@@ -37,10 +34,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import tempfile
-import time
-from dataclasses import dataclass
-from pathlib import Path
 
 from .. import obs
 from ..obs import profile
@@ -50,19 +43,10 @@ from ..errors import DiagnosticKind, DiagnosticLog
 from ..eval.classify import classify
 from ..eval.harness import CellResult, run_cell
 from ..tools.api import ToolReport
-from .queue import JobQueue
 from .store import ResultStore
 
 #: Crash retries before a job is classified E (attempts = retries + 1).
 DEFAULT_RETRIES = 2
-#: Base of the exponential requeue backoff, in seconds.
-DEFAULT_BACKOFF = 0.05
-#: Driver poll interval while workers run.
-_POLL_S = 0.02
-#: Grace period between SIGTERM and SIGKILL on timeout: long enough for
-#: the worker's handler to flush partial spans, short enough that a
-#: wedged worker barely delays the driver.
-_TERM_GRACE_S = 0.5
 
 #: Environment variable for test fault injection ("<bomb>:<tool>").
 KILL_CELL_ENV = "REPRO_SERVICE_KILL_CELL"
@@ -100,11 +84,12 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
     """Worker process: evaluate one cell, persist the pickled result.
 
     *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from the
-    driver, so the worker's spans join the campaign's trace and the
-    attribution profiler mirrors the driver's state.  A SIGTERM (the
-    driver's timeout path) flushes in-flight spans with an ``aborted``
-    attribute and the profiler's buckets before exiting, so killed
-    cells still appear in traces.
+    parent, so the worker's spans join the parent's trace and the
+    attribution profiler mirrors the parent's state.  A SIGTERM (the
+    timeout path) flushes in-flight spans with an ``aborted`` attribute
+    and the profiler's buckets before exiting, so killed cells still
+    appear in traces.  *store_root* attaches the result store, so lifts,
+    fuzz corpora and captured queries persist exactly as in-process.
     """
     obs.uninstall()  # inherited recorder writes to the parent's fds
     profile.uninstall()
@@ -115,12 +100,12 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
         from ..ir import superblock
 
         worker_store = ResultStore(store_root)
+        # Inherited lift caches are clean with respect to some other
+        # store (or none) and would never persist into this one.
+        superblock.reset()
         superblock.attach_store(worker_store)
         fuzz_corpus.attach_store(worker_store)
         querylog.attach_store(worker_store)
-    kill_spec = os.environ.get(KILL_CELL_ENV)
-    if kill_spec == f"{bomb_id}:{tool}" and attempt == 1:
-        os.kill(os.getpid(), signal.SIGKILL)
     bomb = get_bomb(bomb_id)
     if metrics_path is not None:
         trace_id, parent_span_id, profiling_on = \
@@ -145,278 +130,11 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
                     cell = run_cell(bomb, tool)
     else:
         cell = run_cell(bomb, tool)
+    if os.environ.get(KILL_CELL_ENV) == f"{bomb_id}:{tool}" and attempt == 1:
+        # After the metrics stream is complete: a parent that absorbed a
+        # crashed attempt's stream would count this cell twice.
+        os.kill(os.getpid(), signal.SIGKILL)
     tmp = result_path + ".tmp"
     with open(tmp, "wb") as fp:
         pickle.dump(cell, fp)
     os.replace(tmp, result_path)
-
-
-@dataclass
-class _Attempt:
-    """One in-flight worker process."""
-
-    job: object
-    proc: object
-    result_path: str
-    metrics_path: str | None
-    started: float
-    deadline: float | None
-
-
-class CellExecutor:
-    """Drives a :class:`JobQueue` of cells to completion.
-
-    ``run()`` claims jobs, serves cache hits from *store*, fans misses
-    out over up to *jobs* worker processes, and invokes *on_cell* with
-    every finished :class:`CellResult` (cached, computed, or
-    synthesized ``E``).  Terminal job results recorded in the queue:
-    ``cached``, ``computed``, ``timeout``, ``crash-exhausted``.
-    """
-
-    def __init__(self, queue: JobQueue, *, jobs: int = 1,
-                 timeout: float | None = None,
-                 retries: int = DEFAULT_RETRIES,
-                 backoff: float = DEFAULT_BACKOFF,
-                 store: ResultStore | None = None,
-                 key_for=None):
-        from .fingerprint import cell_key
-
-        self.queue = queue
-        self.jobs = max(1, jobs)
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.store = store
-        self._key_for = key_for or cell_key
-        self._keys: dict[tuple[str, str], str] = {}
-        self.stats = {"cells": 0, "cache_hits": 0, "computed": 0,
-                      "timeouts": 0, "requeued": 0, "exhausted": 0}
-
-    def _key(self, bomb: Bomb, tool: str) -> str:
-        cell = (bomb.bomb_id, tool)
-        if cell not in self._keys:
-            self._keys[cell] = self._key_for(bomb, tool)
-        return self._keys[cell]
-
-    # -- driver loop -----------------------------------------------------
-
-    def run(self, on_cell) -> dict:
-        """Drain the queue; returns the run's summary stats."""
-        recorder = obs.active()
-        ctx = _mp_context()
-        inflight: list[_Attempt] = []
-        with tempfile.TemporaryDirectory(prefix="repro-service-") as tmpdir:
-            with obs.span("campaign.drain", jobs=self.jobs):
-                while True:
-                    self._fill_slots(inflight, ctx, tmpdir, recorder, on_cell)
-                    if not inflight and not self.queue.pending():
-                        break
-                    if inflight:
-                        self._poll(inflight, recorder, on_cell)
-                    else:
-                        time.sleep(_POLL_S)  # backoff gap: pending not ready
-        return dict(self.stats)
-
-    def _fill_slots(self, inflight, ctx, tmpdir, recorder, on_cell) -> None:
-        while len(inflight) < self.jobs:
-            job = self.queue.claim(worker=f"w{len(inflight)}")
-            if job is None:
-                return
-            bomb = get_bomb(job.bomb_id)
-            if self.store is not None:
-                cached = self.store.get(self._key(bomb, job.tool), bomb)
-                if cached is not None:
-                    self.queue.complete(job.job_id, result="cached")
-                    self.stats["cells"] += 1
-                    self.stats["cache_hits"] += 1
-                    on_cell(cached)
-                    continue
-            result_path = str(Path(tmpdir) /
-                              f"{job.job_id}-a{job.attempts}.pkl")
-            metrics_path = (result_path + ".jsonl"
-                            if recorder is not None else None)
-            trace_ctx = None
-            if recorder is not None:
-                trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                             profile.active() is not None)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(job.bomb_id, job.tool, job.attempts,
-                      result_path, metrics_path, trace_ctx,
-                      str(self.store.root) if self.store is not None
-                      else None),
-            )
-            proc.start()
-            now = time.monotonic()
-            deadline = now + self.timeout if self.timeout is not None else None
-            inflight.append(_Attempt(job, proc, result_path,
-                                     metrics_path, now, deadline))
-
-    def _poll(self, inflight, recorder, on_cell) -> None:
-        time.sleep(_POLL_S)
-        now = time.monotonic()
-        still = []
-        for attempt in inflight:
-            if attempt.proc.is_alive():
-                if attempt.deadline is not None and now >= attempt.deadline:
-                    self._on_timeout(attempt, recorder, on_cell)
-                else:
-                    still.append(attempt)
-                continue
-            attempt.proc.join()
-            if os.path.exists(attempt.result_path):
-                self._on_finished(attempt, recorder, on_cell)
-            else:
-                self._on_crash(attempt, on_cell)
-        inflight[:] = still
-
-    # -- attempt outcomes ------------------------------------------------
-
-    def _on_finished(self, attempt, recorder, on_cell) -> None:
-        with open(attempt.result_path, "rb") as fp:
-            cell = pickle.load(fp)
-        if recorder is not None and attempt.metrics_path is not None:
-            from ..obs import read_events
-
-            recorder.absorb(read_events(attempt.metrics_path))
-        if self.store is not None:
-            self.store.put(self._key(get_bomb(cell.bomb_id), cell.tool), cell)
-        self.queue.complete(attempt.job.job_id, result="computed")
-        self.stats["cells"] += 1
-        self.stats["computed"] += 1
-        on_cell(cell)
-
-    def _on_timeout(self, attempt, recorder, on_cell) -> None:
-        # SIGTERM first: the worker's handler flushes partial spans and
-        # profiler buckets before exiting.  SIGKILL only a worker too
-        # wedged to honor it within the grace period.
-        attempt.proc.terminate()
-        attempt.proc.join(_TERM_GRACE_S)
-        if attempt.proc.is_alive():
-            attempt.proc.kill()
-            attempt.proc.join()
-        if os.path.exists(attempt.result_path):
-            # The worker finished right at the deadline: its result is
-            # fully persisted (atomic rename), so honor it.
-            self._on_finished(attempt, recorder, on_cell)
-            return
-        job = attempt.job
-        elapsed = time.monotonic() - attempt.started
-        obs.count("service.cells_timeout")
-        # A timed-out job is terminal (never retried), so absorbing the
-        # partial stream cannot double-count.  The last line may be torn
-        # if SIGKILL raced the flush — skip it, keep the rest.
-        if recorder is not None and attempt.metrics_path is not None \
-                and os.path.exists(attempt.metrics_path):
-            from ..obs import read_events
-
-            recorder.absorb(read_events(attempt.metrics_path, strict=False))
-        cell = infrastructure_failure_cell(
-            get_bomb(job.bomb_id), job.tool,
-            f"wall-clock timeout after {self.timeout:g}s", elapsed)
-        self.queue.complete(job.job_id, result="timeout")
-        self.stats["cells"] += 1
-        self.stats["timeouts"] += 1
-        on_cell(cell)
-
-    def _on_crash(self, attempt, on_cell) -> None:
-        job = attempt.job
-        exitcode = attempt.proc.exitcode
-        detail = f"worker died (exit {exitcode}) on attempt {job.attempts}"
-        if job.attempts <= self.retries:
-            obs.count("service.retries")
-            delay = self.backoff * (2 ** (job.attempts - 1))
-            self.queue.requeue(job.job_id, reason=detail,
-                               not_before=time.monotonic() + delay)
-            self.stats["requeued"] += 1
-            return
-        self.queue.exhaust(job.job_id, reason=detail)
-        elapsed = time.monotonic() - attempt.started
-        cell = infrastructure_failure_cell(
-            get_bomb(job.bomb_id), job.tool,
-            f"worker crashed on all {job.attempts} attempts "
-            f"(last exit {exitcode})", elapsed)
-        self.stats["cells"] += 1
-        self.stats["exhausted"] += 1
-        on_cell(cell)
-
-
-def run_cell_isolated(bomb: Bomb, tool: str,
-                      timeout: float | None) -> CellResult:
-    """One cell in a killable worker process (serial ``--timeout`` path).
-
-    Single attempt: an overrun or a worker death maps straight to ``E``
-    — retries and backoff are the campaign executor's concern.
-    """
-    recorder = obs.active()
-    ctx = _mp_context()
-    with tempfile.TemporaryDirectory(prefix="repro-cell-") as tmpdir:
-        result_path = str(Path(tmpdir) / "cell.pkl")
-        metrics_path = (result_path + ".jsonl"
-                        if recorder is not None else None)
-        trace_ctx = None
-        if recorder is not None:
-            trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                         profile.active() is not None)
-        proc = ctx.Process(target=_worker_main,
-                           args=(bomb.bomb_id, tool, 1,
-                                 result_path, metrics_path, trace_ctx))
-        started = time.monotonic()
-        proc.start()
-        proc.join(timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(_TERM_GRACE_S)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-            obs.count("service.cells_timeout")
-            if recorder is not None and metrics_path is not None \
-                    and os.path.exists(metrics_path):
-                from ..obs import read_events
-
-                recorder.absorb(read_events(metrics_path, strict=False))
-            return infrastructure_failure_cell(
-                bomb, tool, f"wall-clock timeout after {timeout:g}s",
-                time.monotonic() - started)
-        if not os.path.exists(result_path):
-            return infrastructure_failure_cell(
-                bomb, tool, f"worker died (exit {proc.exitcode})",
-                time.monotonic() - started)
-        with open(result_path, "rb") as fp:
-            cell = pickle.load(fp)
-        if recorder is not None and metrics_path is not None:
-            from ..obs import read_events
-
-            recorder.absorb(read_events(metrics_path))
-        return cell
-
-
-def execute_matrix(bomb_ids: tuple[str, ...], tools: tuple[str, ...],
-                   *, jobs: int, timeout: float | None,
-                   store: ResultStore | None,
-                   retries: int = DEFAULT_RETRIES,
-                   verbose: bool = False):
-    """Service-backed Table II evaluation (the ``--cache``/``--timeout``
-    route of :func:`repro.eval.harness.run_table2`).
-
-    Runs the cell matrix on an ephemeral in-memory queue through
-    :class:`CellExecutor` and reassembles a ``Table2Result``.  Cells are
-    keyed by (bomb, tool), so completion order cannot change the
-    rendered or JSON output.
-    """
-    from ..eval.harness import Table2Result, _print_cell
-
-    queue = JobQueue(None)
-    queue.submit([(b, t) for b in bomb_ids for t in tools])
-    result = Table2Result()
-    executor = CellExecutor(queue, jobs=jobs, timeout=timeout,
-                            retries=retries, store=store)
-    executor.run(result.add)
-    if verbose:
-        for bomb_id in bomb_ids:
-            for tool in tools:
-                cell = result.cells.get((bomb_id, tool))
-                if cell is not None:
-                    _print_cell(cell)
-    return result

@@ -1,10 +1,10 @@
-"""Multi-host fleet workers: lease-based claims over a shared journal.
+"""The one cell scheduler: lease-based claims over a shared journal.
 
-PR 3's :class:`~repro.service.queue.JobQueue` serializes one driver's
-transitions across crashes; this module turns the same JSONL journal
-into a **multi-writer coordination protocol** so N detached worker
-processes (``repro worker --root DIR``, any number of hosts sharing the
-filesystem) drain campaigns cooperatively without double-execution:
+:class:`~repro.service.queue.JobQueue` is a JSONL journal of job
+transitions; this module turns it into a **multi-writer coordination
+protocol** so worker processes (``repro worker --root DIR``, any number
+of hosts sharing the filesystem) drain campaigns cooperatively without
+double-execution:
 
 * every mutating transition happens under an exclusive lock on a
   sidecar ``queue.jsonl.lock`` file (``flock`` where available, an
@@ -18,6 +18,10 @@ filesystem) drain campaigns cooperatively without double-execution:
   its host died) is requeued — with ``service.lease_expired`` and
   ``service.requeues`` counted — by whichever worker observes the
   expiry at its next claim, and the cell is completed by a survivor;
+  a claim by ``<this host>:<pid>`` whose pid no longer exists counts
+  as expired at once, so a restarted ``campaign run`` resumes without
+  waiting out the lease (a false positive only costs a duplicate run,
+  whose stale transition is discarded as below);
 * before recording ``done``/``requeue``/``exhaust``, a worker re-checks
   (under the lock) that it *still* holds the claim; a worker that
   stalled past its lease and lost the job to a survivor discards its
@@ -25,12 +29,15 @@ filesystem) drain campaigns cooperatively without double-execution:
   Results go through the content-addressed store, so even that
   pathological overlap converges on byte-identical output.
 
-:class:`FleetWorker` is the pull loop: discover campaigns under the
-service root, claim a leased cell, serve it from the shared store or
-execute it in a killable subprocess (reusing the executor's worker
-entry point, timeout mapping, and crash/retry classification), and
-record the terminal transition.  ``repro worker --jobs N`` forks N such
-loops; ``--jobs 0`` sizes the pack to the host's usable CPUs.
+:class:`FleetWorker` is the only code that schedules cell subprocesses.
+It keeps up to *slots* cells in flight: it claims a leased cell, serves
+it from the store or starts :func:`~repro.service.executor._worker_main`
+in a killable subprocess, blocks on the children's sentinels until one
+exits or the nearest deadline or lease renewal is due, and records the
+terminal transition.  Every parallel, timed or cached path is a thin
+client of it: ``repro worker --jobs N`` is one worker with N slots,
+``campaign run`` a worker scoped to one campaign, and ``table2
+--jobs/--timeout`` a worker over a private journal.
 """
 
 from __future__ import annotations
@@ -38,26 +45,32 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import pickle
 import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 
 from .. import obs
-from ..obs import profile
+from ..obs import profile, read_events
 from ..bombs import get_bomb
-from .executor import DEFAULT_BACKOFF, _TERM_GRACE_S, _mp_context, _worker_main
+from .executor import _mp_context, _worker_main, infrastructure_failure_cell
 from .fingerprint import cell_key
-from .queue import CLAIMED, PENDING, Job, JobQueue
+from .queue import CLAIMED, EXHAUSTED, PENDING, Job, JobQueue
 
 #: Default lease duration; a worker renews at half-life, so a lease is
 #: only allowed to expire when the holder missed >= 2 heartbeats.
 DEFAULT_LEASE_S = 30.0
 #: Fraction of the lease after which the holder heartbeats a renewal.
 RENEW_FRACTION = 0.5
-#: Worker poll cadence while its cell subprocess runs.
-_POLL_S = 0.05
+#: Base of the exponential requeue backoff, in seconds.
+DEFAULT_BACKOFF = 0.05
+#: Grace period between SIGTERM and SIGKILL on timeout: long enough for
+#: the attempt's handler to flush partial spans, short enough that a
+#: wedged attempt barely delays the worker.
+_TERM_GRACE_S = 0.5
 
 
 def auto_jobs() -> int:
@@ -79,6 +92,20 @@ def auto_jobs() -> int:
 
 def default_worker_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
+
+
+def _gone_local(worker: str | None) -> bool:
+    """True when *worker* is ``<this host>:<pid>`` and that pid is gone."""
+    host, _, pid = (worker or "").rpartition(":")
+    if host != socket.gethostname() or not pid.isdigit():
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # EPERM: alive, owned by another user
+        pass
+    return False
 
 
 class _FileLock:
@@ -161,7 +188,7 @@ class FleetQueue(JobQueue):
         self._offset = 0
         path = Path(path)
         self._lock = _FileLock(path.with_name(path.name + ".lock"))
-        super().__init__(path, recover_claims=False)
+        super().__init__(path)
 
     def _replay(self) -> None:
         # Initial state is just a refresh from offset 0; _apply'ing a
@@ -176,7 +203,7 @@ class FleetQueue(JobQueue):
         (a writer mid-append on another host) is left for next time.
         Returns the number of records applied.
         """
-        if self.path is None or not self.path.exists():
+        if not self.path.exists():
             return 0
         with self.path.open("rb") as fp:
             fp.seek(self._offset)
@@ -202,8 +229,9 @@ class FleetQueue(JobQueue):
     def claim_leased(self) -> Job | None:
         """Claim the next ready job under the lock, with a fresh lease.
 
-        Also the expiry sweep: any claim whose lease deadline passed is
-        requeued first (``service.lease_expired``), making the dead
+        Also the expiry sweep: any claim whose lease deadline passed, or
+        whose claimant is a process of this host that no longer exists,
+        is requeued first (``service.lease_expired``), making the dead
         worker's cell immediately claimable — possibly by us, in this
         very call.
         """
@@ -211,8 +239,9 @@ class FleetQueue(JobQueue):
             self.refresh()
             now = self.clock()
             for job in self.ordered_jobs():
-                if job.status == CLAIMED and job.lease_until is not None \
-                        and job.lease_until <= now:
+                if job.status == CLAIMED and (
+                        job.lease_until is not None and job.lease_until <= now
+                        or _gone_local(job.worker)):
                     obs.count("service.lease_expired")
                     obs.count("service.requeues")
                     self.requeue(
@@ -249,7 +278,7 @@ class FleetQueue(JobQueue):
 
 @dataclass
 class WorkerStats:
-    """One worker loop's tally (mirrors the executor's stats dict)."""
+    """One worker's tally of the transitions it recorded."""
 
     claimed: int = 0
     cached: int = 0
@@ -259,13 +288,47 @@ class WorkerStats:
     exhausted: int = 0
     lease_lost: int = 0
 
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
+
+def failure_cell(job: Job, timeout: float | None, elapsed: float = 0.0):
+    """The synthesized E cell of a job whose journal ends in a timeout
+    or an exhaustion, else None.  The worker's on-cell callback and
+    ``campaign results`` both build it here, so they render alike."""
+    if job.status == EXHAUSTED:
+        detail = job.reason
+    elif job.result == "timeout":
+        detail = f"wall-clock timeout after {timeout:g}s"
+    else:
+        return None
+    return infrastructure_failure_cell(get_bomb(job.bomb_id), job.tool,
+                                       detail, elapsed)
+
+
+@dataclass
+class _Attempt:
+    """One cell subprocess in flight."""
+
+    cid: str
+    queue: FleetQueue
+    job: Job
+    key: str | None
+    proc: object
+    result_path: str
+    metrics_path: str | None
+    started: float
+    deadline: float | None
+    renew_at: float
 
 
 @dataclass
 class FleetWorker:
-    """Pull-loop worker over every campaign under a service root."""
+    """Pull-loop worker keeping up to *slots* cells in flight.
+
+    Claims from every campaign under *root*, or only from *campaign*
+    when set.  ``store`` starts as the root's shared result store;
+    assign another store, or None, before :meth:`run` to override it.
+    *on_cell* receives every cell whose terminal transition this worker
+    recorded: cached, computed, or a synthesized E.
+    """
 
     root: str | os.PathLike
     worker_id: str = field(default_factory=default_worker_id)
@@ -273,6 +336,9 @@ class FleetWorker:
     poll_s: float = 0.2
     backoff: float = DEFAULT_BACKOFF
     clock: object = time.time
+    slots: int = 1
+    campaign: str | None = None
+    on_cell: object = None
 
     def __post_init__(self):
         from .campaign import CampaignService
@@ -282,9 +348,13 @@ class FleetWorker:
         self.stats = WorkerStats()
         self._queues: dict[str, FleetQueue] = {}
         self._specs: dict[str, object] = {}
-        self._stop = False
 
     # -- discovery -------------------------------------------------------
+
+    def _campaigns(self) -> list[str]:
+        if self.campaign is not None:
+            return [self.campaign]
+        return self.service.campaigns()
 
     def _queue_for(self, cid: str) -> FleetQueue:
         queue = self._queues.get(cid)
@@ -303,7 +373,7 @@ class FleetWorker:
 
     def claim_next(self):
         """(cid, queue, job) for the first claimable cell, or None."""
-        for cid in self.service.campaigns():
+        for cid in self._campaigns():
             queue = self._queue_for(cid)
             job = queue.claim_leased()
             if job is not None:
@@ -312,8 +382,8 @@ class FleetWorker:
         return None
 
     def drained(self) -> bool:
-        """True when every job of every campaign is terminal."""
-        for cid in self.service.campaigns():
+        """True when every job of every campaign in scope is terminal."""
+        for cid in self._campaigns():
             queue = self._queue_for(cid)
             with queue._lock.held():
                 queue.refresh()
@@ -328,183 +398,206 @@ class FleetWorker:
             max_idle: float | None = None) -> WorkerStats:
         """Claim-and-execute until stopped.
 
-        *drain*: exit once every campaign under the root is terminal
-        (the CI / batch mode).  *max_idle*: exit after that many
-        seconds without a successful claim.  With neither, poll until
-        the process is signalled.
+        *drain*: exit once every campaign in scope is terminal (the CI
+        / batch mode).  *max_idle*: exit after that many seconds without
+        a successful claim.  With neither, poll until the process is
+        signalled.
         """
+        inflight: list[_Attempt] = []
         idle_since = time.monotonic()
-        with obs.span("worker", worker=self.worker_id):
-            while not self._stop:
-                claimed = self.claim_next()
-                if claimed is None:
-                    if drain and self.drained():
+        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmpdir:
+            while True:
+                while len(inflight) < self.slots:
+                    claimed = self.claim_next()
+                    if claimed is None:
                         break
-                    if max_idle is not None and \
-                            time.monotonic() - idle_since >= max_idle:
-                        break
+                    idle_since = time.monotonic()
+                    attempt = self._start(*claimed, tmpdir)
+                    if attempt is not None:
+                        inflight.append(attempt)
+                if inflight:
+                    inflight = self._wait(inflight)
+                elif drain and self.drained():
+                    break
+                elif max_idle is not None and \
+                        time.monotonic() - idle_since >= max_idle:
+                    break
+                else:
                     time.sleep(self.poll_s)
-                    continue
-                idle_since = time.monotonic()
-                self._execute(*claimed)
         return self.stats
 
-    def _execute(self, cid: str, queue: FleetQueue, job: Job) -> None:
-        spec = self._spec_for(cid)
-        bomb = get_bomb(job.bomb_id)
-        key = cell_key(bomb, job.tool)
-        cached = self.store.get(key, bomb)
-        if cached is not None:
-            if queue.finish_leased(job, "complete", result="cached"):
-                self.stats.cached += 1
+    def _start(self, cid: str, queue: FleetQueue, job: Job,
+               tmpdir: str) -> _Attempt | None:
+        """Serve *job* from the store, or start its cell subprocess."""
+        key = None
+        if self.store is not None:
+            bomb = get_bomb(job.bomb_id)
+            key = cell_key(bomb, job.tool)
+            cached = self.store.get(key, bomb)
+            if cached is not None:
+                if self._record(queue, job, "cached", "complete",
+                                result="cached"):
+                    self._deliver(cached)
+                return None
+        recorder = obs.active()
+        result_path = str(Path(tmpdir) /
+                          f"{cid}-{job.job_id}-a{job.attempts}.pkl")
+        metrics_path = trace_ctx = None
+        if recorder is not None:
+            metrics_path = result_path + ".jsonl"
+            trace_ctx = (recorder.trace_id, recorder.current_span_id(),
+                         profile.active() is not None)
+        proc = _mp_context().Process(
+            target=_worker_main,
+            args=(job.bomb_id, job.tool, job.attempts, result_path,
+                  metrics_path, trace_ctx,
+                  str(self.store.root) if self.store is not None else None))
+        proc.start()
+        started = time.monotonic()
+        timeout = self._spec_for(cid).timeout
+        return _Attempt(cid, queue, job, key, proc, result_path, metrics_path,
+                        started,
+                        started + timeout if timeout is not None else None,
+                        self.clock() + self.lease_s * RENEW_FRACTION)
+
+    def _wait(self, inflight: list[_Attempt]) -> list[_Attempt]:
+        """Block until a cell subprocess exits, or the nearest deadline
+        or lease renewal is due (with a slot free, at most ``poll_s``,
+        to look for new work); settle what is due and return the
+        attempts still running."""
+        now, wall = time.monotonic(), self.clock()
+        horizon = [a.renew_at - wall for a in inflight]
+        horizon += [a.deadline - now for a in inflight
+                    if a.deadline is not None]
+        if len(inflight) < self.slots:
+            horizon.append(self.poll_s)
+        wait([a.proc.sentinel for a in inflight],
+             timeout=max(0.0, min(horizon)))
+        running = []
+        for attempt in inflight:
+            proc = attempt.proc
+            if not proc.is_alive():
+                proc.join()
+                self._settle(attempt, timed_out=False)
+            elif attempt.deadline is not None and \
+                    time.monotonic() >= attempt.deadline:
+                # SIGTERM first: the attempt's handler flushes partial
+                # spans and profiler buckets.  SIGKILL only an attempt
+                # too wedged to honor it within the grace period.
+                proc.terminate()
+                proc.join(_TERM_GRACE_S)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+                self._settle(attempt, timed_out=True)
             else:
-                self.stats.lease_lost += 1
+                if self.clock() >= attempt.renew_at:
+                    attempt.queue.renew_lease(attempt.job)
+                    attempt.renew_at = \
+                        self.clock() + self.lease_s * RENEW_FRACTION
+                running.append(attempt)
+        return running
+
+    # -- attempt outcomes ------------------------------------------------
+
+    def _settle(self, attempt: _Attempt, *, timed_out: bool) -> None:
+        """Classify an attempt that ended and record its transition.
+
+        Metrics are absorbed from successful attempts and terminal
+        timeouts only: a crashed attempt is retried (or exhausted), and
+        absorbing its stream would count the cell twice.
+        """
+        job, queue = attempt.job, attempt.queue
+        spec = self._spec_for(attempt.cid)
+        if os.path.exists(attempt.result_path):
+            # Finished, possibly right at the deadline: the atomic
+            # rename means a persisted result is always whole.
+            with open(attempt.result_path, "rb") as fp:
+                cell = pickle.load(fp)
+            self._absorb(attempt, strict=True)
+            if self.store is not None:
+                # Store before completing: once the journal says done,
+                # any reader must find the result.
+                self.store.put(attempt.key, cell)
+            if self._record(queue, job, "computed", "complete",
+                            result="computed"):
+                self._deliver(cell)
             return
-        outcome, cell = self._attempt(bomb, job, queue,
-                                      timeout=spec.timeout)
-        if outcome == "computed":
-            # Store before completing: once the journal says done, any
-            # reader must find the result.  (infra cells never cached.)
-            if not cell.infra_failure:
-                self.store.put(key, cell)
-            if queue.finish_leased(job, "complete", result="computed"):
-                self.stats.computed += 1
-            else:
-                self.stats.lease_lost += 1
-        elif outcome == "timeout":
+        if timed_out:
             obs.count("service.cells_timeout")
-            if queue.finish_leased(job, "complete", result="timeout"):
-                self.stats.timeouts += 1
-            else:
-                self.stats.lease_lost += 1
-        else:  # crash
-            detail = (f"worker subprocess died ({outcome}) on attempt "
-                      f"{job.attempts}")
+            # Terminal, never retried; a last line torn by SIGKILL is
+            # skipped.
+            self._absorb(attempt, strict=False)
+            landed = self._record(queue, job, "timeouts", "complete",
+                                  result="timeout")
+        else:
+            exitcode = attempt.proc.exitcode
             if job.attempts <= spec.retries:
                 obs.count("service.retries")
                 obs.count("service.requeues")
                 delay = self.backoff * (2 ** (job.attempts - 1))
-                if queue.finish_leased(job, "requeue", reason=detail,
-                                       not_before=self.clock() + delay):
-                    self.stats.requeued += 1
-                else:
-                    self.stats.lease_lost += 1
-            else:
-                if queue.finish_leased(job, "exhaust", reason=detail):
-                    self.stats.exhausted += 1
-                else:
-                    self.stats.lease_lost += 1
+                self._record(queue, job, "requeued", "requeue",
+                             reason=f"worker died (exit {exitcode}) on "
+                                    f"attempt {job.attempts}",
+                             not_before=self.clock() + delay)
+                return
+            landed = self._record(
+                queue, job, "exhausted", "exhaust",
+                reason=f"worker crashed on all {job.attempts} attempts "
+                       f"(last exit {exitcode})")
+        if landed:
+            self._deliver(failure_cell(job, spec.timeout,
+                                       time.monotonic() - attempt.started))
 
-    def _attempt(self, bomb, job: Job, queue: FleetQueue, *,
-                 timeout: float | None):
-        """One cell attempt in a killable subprocess, heartbeating the
-        lease while it runs.
+    def _record(self, queue: FleetQueue, job: Job, tally: str,
+                transition: str, **kw) -> bool:
+        """Record *transition* iff we still hold *job*; tally it."""
+        if not queue.finish_leased(job, transition, **kw):
+            self.stats.lease_lost += 1
+            return False
+        setattr(self.stats, tally, getattr(self.stats, tally) + 1)
+        return True
 
-        Returns ``("computed", cell)``, ``("timeout", None)``, or
-        ``("exit <code>", None)`` for a crashed subprocess.
-        """
-        import pickle
+    def _deliver(self, cell) -> None:
+        if self.on_cell is not None:
+            self.on_cell(cell)
 
+    @staticmethod
+    def _absorb(attempt: _Attempt, *, strict: bool) -> None:
         recorder = obs.active()
-        ctx = _mp_context()
-        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmpdir:
-            result_path = str(Path(tmpdir) / f"{job.job_id}.pkl")
-            metrics_path = (result_path + ".jsonl"
-                            if recorder is not None else None)
-            trace_ctx = None
-            if recorder is not None:
-                trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                             profile.active() is not None)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(bomb.bomb_id, job.tool, job.attempts,
-                      result_path, metrics_path, trace_ctx))
-            started = time.monotonic()
-            deadline = started + timeout if timeout is not None else None
-            renew_at = self.clock() + self.lease_s * RENEW_FRACTION
-            proc.start()
-            timed_out = False
-            while proc.is_alive():
-                time.sleep(_POLL_S)
-                if self.clock() >= renew_at:
-                    queue.renew_lease(job)
-                    renew_at = self.clock() + self.lease_s * RENEW_FRACTION
-                if deadline is not None and time.monotonic() >= deadline:
-                    proc.terminate()
-                    proc.join(_TERM_GRACE_S)
-                    if proc.is_alive():
-                        proc.kill()
-                    timed_out = True
-                    break
-            proc.join()
-            if os.path.exists(result_path):
-                # Finished (possibly right at the deadline — the atomic
-                # rename means a persisted result is always whole).
-                with open(result_path, "rb") as fp:
-                    cell = pickle.load(fp)
-                if recorder is not None and metrics_path is not None \
-                        and os.path.exists(metrics_path):
-                    from ..obs import read_events
-
-                    recorder.absorb(read_events(metrics_path))
-                return "computed", cell
-            if recorder is not None and metrics_path is not None \
-                    and os.path.exists(metrics_path):
-                from ..obs import read_events
-
-                recorder.absorb(read_events(metrics_path, strict=False))
-            if timed_out:
-                return "timeout", None
-            return f"exit {proc.exitcode}", None
+        if recorder is not None and attempt.metrics_path is not None \
+                and os.path.exists(attempt.metrics_path):
+            recorder.absorb(read_events(attempt.metrics_path, strict=strict))
 
 
 def run_worker(root: str | os.PathLike, *, worker_id: str | None = None,
-               lease_s: float = DEFAULT_LEASE_S, poll_s: float = 0.2,
-               drain: bool = False, max_idle: float | None = None,
+               slots: int = 1, lease_s: float = DEFAULT_LEASE_S,
+               poll_s: float = 0.2, drain: bool = False,
+               max_idle: float | None = None,
                metrics_out: str | None = None) -> WorkerStats:
-    """One worker loop, optionally with its own metrics stream.
+    """One worker with *slots* cells in flight, optionally streaming its
+    metrics (and its cells', absorbed) to *metrics_out*.
 
-    Module-level (picklable) so ``repro worker --jobs N`` and tests can
-    fork it as a process target.
+    Module-level (picklable) so tests can fork it as a process target.
     """
-    recorder = None
-    if metrics_out is not None:
-        recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_out)],
-                                hist_values=True)
     worker = FleetWorker(root, worker_id=worker_id or default_worker_id(),
-                         lease_s=lease_s, poll_s=poll_s)
-    if recorder is not None:
-        with obs.recording(recorder):
-            return worker.run(drain=drain, max_idle=max_idle)
-    return worker.run(drain=drain, max_idle=max_idle)
+                         lease_s=lease_s, poll_s=poll_s, slots=slots)
+    recording = contextlib.nullcontext()
+    if metrics_out is not None:
+        recording = obs.recording(obs.Recorder(
+            sinks=[obs.JsonlSink(metrics_out)], hist_values=True))
+    with recording, obs.span("worker", worker=worker.worker_id, slots=slots):
+        return worker.run(drain=drain, max_idle=max_idle)
 
 
 def run_fleet(root: str | os.PathLike, jobs: int, *,
               lease_s: float = DEFAULT_LEASE_S, poll_s: float = 0.2,
               drain: bool = False, max_idle: float | None = None,
               metrics_out: str | None = None) -> int:
-    """Fork *jobs* worker loops over one root; returns the pack size.
-
-    ``jobs == 0`` auto-sizes to :func:`auto_jobs`.  With a metrics
-    path, each member writes ``<path>.<i>`` (concatenated streams feed
-    ``repro stats`` directly).
-    """
-    jobs = auto_jobs() if jobs == 0 else jobs
-    if jobs == 1:
-        run_worker(root, lease_s=lease_s, poll_s=poll_s, drain=drain,
-                   max_idle=max_idle, metrics_out=metrics_out)
-        return 1
-    ctx = _mp_context()
-    procs = []
-    for i in range(jobs):
-        out = f"{metrics_out}.{i}" if metrics_out is not None else None
-        procs.append(ctx.Process(
-            target=run_worker, args=(str(root),),
-            kwargs={"worker_id": f"{default_worker_id()}.{i}",
-                    "lease_s": lease_s, "poll_s": poll_s, "drain": drain,
-                    "max_idle": max_idle, "metrics_out": out}))
-    for proc in procs:
-        proc.start()
-    for proc in procs:
-        proc.join()
-    return jobs
+    """``repro worker --jobs N``: one worker with *jobs* slots over
+    *root*; returns the slot count (``jobs == 0`` auto-sizes to
+    :func:`auto_jobs`)."""
+    slots = auto_jobs() if jobs == 0 else jobs
+    run_worker(root, slots=slots, lease_s=lease_s, poll_s=poll_s,
+               drain=drain, max_idle=max_idle, metrics_out=metrics_out)
+    return slots

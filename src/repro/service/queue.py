@@ -11,28 +11,22 @@ transition is one flushed-and-fsynced line::
     {"t": "done",    "id": ..., "result": "computed"|"cached"|"timeout"|...}
     {"t": "exhaust", "id": ..., "reason": ...}
 
-Opening a queue replays the journal to reconstruct the jobs.  The
-recovery rule that makes workers crash-safe: a job whose last record is
-a ``claim`` (claimed, never completed — the driver process died
-mid-cell) reverts to *pending* with its attempt count preserved, so the
-cell is re-run, never lost, and never double-counted.
-
+Opening a queue replays the journal to reconstruct the jobs.
 ``not_before`` implements retry backoff without a scheduler thread: a
 requeued job is pending but unclaimable until its backoff deadline.
 A truncated trailing line (torn write on power loss) is ignored.
 
-One campaign driver owns a queue at a time — the journal serializes a
-single writer's transitions across crashes.  Multi-writer coordination
-(N worker processes sharing one journal over a filesystem) is layered
-on top by :class:`repro.service.fleet.FleetQueue`, which adds an
-exclusive lock around transitions and **lease-based claims**: a claim
-carries a wall-clock ``lease_until`` deadline, a live worker renews it
-with ``renew`` records, and a claim whose lease expired (the worker was
-SIGKILLed, lost power, or vanished) is requeued by whichever worker
-observes the expiry.  For that layering the single-driver recovery rule
-(claimed → pending on replay) is optional: pass ``recover_claims=False``
-and replay preserves claims so live workers' leases survive another
-process opening the journal.
+Multi-writer coordination (worker processes sharing one journal over a
+filesystem) is layered on top by
+:class:`repro.service.fleet.FleetQueue`, which adds an exclusive lock
+around transitions and **lease-based claims**: a claim carries a
+wall-clock ``lease_until`` deadline, a live worker renews it with
+``renew`` records, and a claim whose lease expired (the worker was
+SIGKILLed, lost power, or vanished) or whose claimant process on this
+host is gone is requeued by whichever worker observes it.  Replay
+therefore preserves claims: only that sweep takes a claim back, so a
+cell is re-run after a crash with its attempt count intact, never lost,
+and never double-counted.
 """
 
 from __future__ import annotations
@@ -75,20 +69,16 @@ class Job:
 
 
 class JobQueue:
-    """Journal-backed job queue (pass ``path=None`` for memory-only)."""
+    """Journal-backed job queue."""
 
-    def __init__(self, path: str | os.PathLike | None, *,
-                 recover_claims: bool = True):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | os.PathLike):
+        self.path = Path(path)
         self.jobs: dict[str, Job] = {}
         self._order: list[str] = []
-        self._fp = None
-        self._recover_claims = recover_claims
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self._replay()
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fp = self.path.open("a", encoding="utf-8")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fp = self.path.open("a", encoding="utf-8")
 
     # -- journal ---------------------------------------------------------
 
@@ -102,16 +92,6 @@ class JobQueue:
             except ValueError:
                 continue  # torn trailing write
             self._apply(record)
-        if not self._recover_claims:
-            # Fleet mode: claims belong to live workers on other hosts;
-            # lease expiry, not replay, decides when to take them back.
-            return
-        # Crash recovery: claimed-but-incomplete jobs revert to pending.
-        for job in self.jobs.values():
-            if job.status == CLAIMED:
-                job.status = PENDING
-                job.worker = None
-                obs.count("service.jobs_recovered")
 
     def _apply(self, record: dict) -> None:
         kind = record.get("t")
@@ -152,8 +132,6 @@ class JobQueue:
 
     def _append(self, record: dict) -> None:
         self._apply(record)
-        if self._fp is None:
-            return
         self._fp.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._fp.flush()
         os.fsync(self._fp.fileno())
@@ -219,9 +197,6 @@ class JobQueue:
 
     def ordered_jobs(self) -> list[Job]:
         return [self.jobs[job_id] for job_id in self._order]
-
-    def pending(self) -> list[Job]:
-        return [j for j in self.ordered_jobs() if j.status == PENDING]
 
     def depth(self) -> int:
         """Jobs not yet terminally resolved."""

@@ -1,8 +1,8 @@
 """Parallel Table II harness: process fan-out must not change results.
 
-Cells are independent (bomb, tool) pairs; ``run_table2(jobs=N)`` fans
-them over a process pool with each worker recording to a private JSONL
-stream the parent absorbs.  These tests pin the two contracts: the
+Cells are independent (bomb, tool) pairs; ``run_table2(jobs=N)`` keeps
+N of them in flight through the fleet worker, each cell process
+recording to a private JSONL stream the parent absorbs.  These tests pin the two contracts: the
 outcome matrix is byte-identical to a serial run, and the merged
 metrics carry the same counters/stage spans a serial recorder would.
 """
@@ -84,11 +84,16 @@ class TestParallelMatchesSerial:
         rec_par = obs.Recorder()
         with obs.recording(rec_par, close=False):
             run_table2(bomb_ids=BOMBS, tools=TOOLS, jobs=3)
+        def work(counters):
+            # The parallel run adds only the scheduler's bookkeeping.
+            return {name: n for name, n in counters.items()
+                    if not name.startswith("service.")
+                    and name != "eval.cells_merged"}
+
         serial = rec_serial.snapshot()["counters"]
         parallel = rec_par.snapshot()["counters"]
-        # The parallel run adds only its own merge bookkeeping.
-        parallel.pop("eval.cells_merged")
-        assert serial == parallel
+        assert parallel["eval.cells_merged"] == len(BOMBS) * len(TOOLS)
+        assert work(serial) == work(parallel)
 
 
 class TestAbsorb:

@@ -8,7 +8,11 @@ The acceptance criteria under test (ISSUE 4):
 * a worker SIGKILLed mid-cell is requeued and the campaign completes
   with correct merged metrics — no cell lost, none double-counted;
 * a per-cell wall-clock overrun maps to outcome E (and is never
-  cached, since it reflects the run's budget, not the tool).
+  cached, since it reflects the run's budget, not the tool);
+* every way to run a matrix — serial, ``jobs=2``, ``jobs=2`` with a
+  cache, ``campaign run`` and a fleet drain — renders the same table,
+  and ``campaign results`` renders a timed-out or exhausted cell the
+  way ``campaign run`` does.
 """
 
 import json
@@ -25,6 +29,7 @@ from repro.service import (
     CampaignSpec,
     ResultStore,
     cell_key,
+    run_fleet,
 )
 
 from .test_service_store import edited_copy
@@ -167,6 +172,24 @@ class TestFaultTolerance:
         assert status["states"]["done"] == 1
         assert status["states"]["exhausted"] == 1
 
+    def test_killed_driver_claims_resume_without_waiting_for_the_lease(
+            self, service):
+        import socket
+
+        from repro.service import FleetQueue
+        from repro.service.executor import _mp_context
+
+        cid = service.submit(CampaignSpec(bombs=BOMBS, tools=("tritonx",)))
+        gone = _mp_context().Process(target=os.getpid)
+        gone.start()
+        gone.join()
+        # A driver that died mid-cell: its claim holds a 30 s lease.
+        FleetQueue(service._campaign_dir(cid) / "queue.jsonl",
+                   f"{socket.gethostname()}:{gone.pid}").claim_leased()
+        report = service.run(cid)
+        assert report.stats["computed"] == 2
+        assert service.status(cid)["states"]["done"] == 2
+
 
 class TestTimeouts:
     def test_serial_timeout_maps_to_E_and_is_not_cached(self, tmp_path):
@@ -187,6 +210,63 @@ class TestTimeouts:
         report = service.run(service.submit(spec))
         assert report.stats["timeouts"] == 1
         assert report.table.cells[("cf_aes", "tritonx")].label == "E"
+
+
+class TestResultsMatchRun:
+    def test_timed_out_campaign(self, service):
+        spec = CampaignSpec(bombs=("cf_aes",), tools=("tritonx",),
+                            timeout=0.05)
+        cid = service.submit(spec)
+        report = service.run(cid)
+        assert report.table.cells[("cf_aes", "tritonx")].label == "E"
+        assert render_table2(service.results(cid)) == \
+            render_table2(report.table)
+
+    def test_exhausted_campaign(self, service, monkeypatch):
+        monkeypatch.setenv(KILL_CELL_ENV, "cp_stack:tritonx")
+        spec = CampaignSpec(bombs=("cp_stack",), tools=("tritonx",),
+                            retries=0)
+        cid = service.submit(spec)
+        report = service.run(cid)
+        assert report.stats["exhausted"] == 1
+        results = service.results(cid)
+        assert render_table2(results) == render_table2(report.table)
+        assert results.cells[("cp_stack", "tritonx")].diagnostic == \
+            report.table.cells[("cp_stack", "tritonx")].diagnostic
+
+
+def _campaign_run(tmp_path):
+    service = CampaignService(tmp_path / "svc")
+    cid = service.submit(CampaignSpec(bombs=BOMBS, tools=TOOLS))
+    return service.run(cid, jobs=2).table
+
+
+def _fleet_drain(tmp_path):
+    service = CampaignService(tmp_path / "svc")
+    cid = service.submit(CampaignSpec(bombs=BOMBS, tools=TOOLS))
+    run_fleet(tmp_path / "svc", 2, drain=True)
+    return service.results(cid)
+
+
+MATRIX_PATHS = {
+    "serial": lambda tmp: run_table2(bomb_ids=BOMBS, tools=TOOLS),
+    "jobs2": lambda tmp: run_table2(bomb_ids=BOMBS, tools=TOOLS, jobs=2),
+    "jobs2-cache": lambda tmp: run_table2(bomb_ids=BOMBS, tools=TOOLS,
+                                          jobs=2, cache=tmp / "store"),
+    "campaign-run": _campaign_run,
+    "fleet-drain": _fleet_drain,
+}
+
+
+@pytest.fixture(scope="module")
+def serial_render():
+    return render_table2(run_table2(bomb_ids=BOMBS, tools=TOOLS))
+
+
+@pytest.mark.parametrize("path", sorted(MATRIX_PATHS))
+def test_every_matrix_path_renders_the_same_table(path, tmp_path,
+                                                  serial_render):
+    assert render_table2(MATRIX_PATHS[path](tmp_path)) == serial_render
 
 
 class TestServiceRoutedTable2:

@@ -173,25 +173,23 @@ class TestFleetVerbs:
         assert run_cli(["stats", str(metrics)]) == 0
         assert "service" in capsys.readouterr().out
 
-    def test_worker_multi_loop_metrics_out_is_per_loop(self, tmp_path,
-                                                       capsys):
+    def test_worker_slots_share_one_metrics_stream(self, tmp_path, capsys):
+        from repro.obs import aggregate_events, read_events
+
         root = str(tmp_path / "svc")
         metrics = tmp_path / "fleet.jsonl"
         assert run_cli(["campaign", "submit", "--root", root,
-                        "--bombs", "cp_stack", "--tools", "tritonx"]) == 0
+                        "--bombs", *BOMBS, "--tools", "tritonx"]) == 0
         capsys.readouterr()
         assert run_cli(["worker", "--root", root, "--drain", "--jobs", "2",
                         "--poll", "0.01",
                         "--metrics-out", str(metrics)]) == 0
-        # With --jobs N each forked loop writes FILE.<i>, not FILE.
-        assert not metrics.exists()
-        streams = sorted(tmp_path.glob("fleet.jsonl.*"))
-        assert [p.name for p in streams] == ["fleet.jsonl.0",
-                                             "fleet.jsonl.1"]
-        from repro.obs import read_events
-
-        assert all(isinstance(e, dict)
-                   for p in streams for e in read_events(p))
+        assert "2 slot(s)" in capsys.readouterr().out
+        # One process with two slots writes one strict-clean stream.
+        assert sorted(p.name for p in tmp_path.glob("fleet.jsonl*")) == \
+            ["fleet.jsonl"]
+        agg = aggregate_events(read_events(metrics))
+        assert agg.counters.get("service.jobs_completed") == len(BOMBS)
 
     def test_worker_store_alias_and_validation(self, tmp_path, capsys):
         root = str(tmp_path / "svc")

@@ -10,18 +10,24 @@ The acceptance criteria under test (ISSUE 7):
   run;
 * a stalled worker that outlives its lease discards its stale terminal
   transition (``service.lease_lost``) instead of double-completing;
-* ``--jobs 0`` sizes the pack to the host's usable CPUs.
+* ``--jobs 0`` sizes the pack to the host's usable CPUs;
+* a claim by a process of this host that no longer exists is swept at
+  once, without waiting out its lease;
+* fleet cells attach the store, and a crashed attempt's partial metrics
+  never reach the worker's recorder.
 """
 
 import json
 import os
 import signal
+import socket
 import time
 from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.bombs import get_bomb
 from repro.eval import render_table2
 from repro.service import (
     KILL_CELL_ENV,
@@ -30,6 +36,8 @@ from repro.service import (
     FleetQueue,
     FleetWorker,
     auto_jobs,
+    image_digest,
+    run_fleet,
     run_worker,
 )
 from repro.service.executor import _mp_context
@@ -90,6 +98,32 @@ class TestFleetQueue:
         counters = rec.snapshot()["counters"]
         assert counters["service.lease_expired"] == 1
         assert counters["service.requeues"] == 1
+
+    def test_dead_local_claimant_is_swept_without_waiting_for_the_lease(
+            self, tmp_path):
+        path = make_queue(tmp_path, n_jobs=1)
+        gone = _mp_context().Process(target=os.getpid)
+        gone.start()
+        gone.join()
+        dead = FleetQueue(path, f"{socket.gethostname()}:{gone.pid}",
+                          lease_s=3600.0)
+        job = dead.claim_leased()
+        survivor = FleetQueue(path, "survivor", lease_s=3600.0)
+        rec = obs.Recorder()
+        with obs.recording(rec, close=False):
+            reclaimed = survivor.claim_leased()
+        assert reclaimed is not None and reclaimed.job_id == job.job_id
+        assert reclaimed.attempts == 2
+        assert rec.snapshot()["counters"]["service.lease_expired"] == 1
+
+    def test_live_local_claimant_keeps_its_claim(self, tmp_path):
+        path = make_queue(tmp_path, n_jobs=1)
+        holder = FleetQueue(path, f"{socket.gethostname()}:{os.getpid()}",
+                            lease_s=3600.0)
+        job = holder.claim_leased()
+        rival = FleetQueue(path, "rival", lease_s=3600.0)
+        assert rival.claim_leased() is None
+        assert rival.jobs[job.job_id].status == CLAIMED
 
     def test_renewal_keeps_a_long_cell_alive(self, tmp_path):
         path = make_queue(tmp_path, n_jobs=1)
@@ -168,7 +202,7 @@ class TestNoDoubleExecution:
         # coverage, zero overlap.
         assert len(flat) == n_jobs
         assert len(set(flat)) == n_jobs
-        final = JobQueue(path, recover_claims=False)
+        final = JobQueue(path)
         assert all(j.status == DONE for j in final.jobs.values())
         final.close()
 
@@ -226,6 +260,30 @@ class TestFleetWorker:
                             poll_s=0.01).run(drain=True)
         assert stats.exhausted == 1
         assert service.status(cid)["states"]["exhausted"] == 1
+
+    def test_crashed_attempt_metrics_are_not_double_counted(
+            self, tmp_path, monkeypatch):
+        # The injector kills attempt 1 after its cell ran and streamed
+        # its spans; only the retry's stream may be absorbed.
+        monkeypatch.setenv(KILL_CELL_ENV, "cp_stack:tritonx")
+        service = CampaignService(tmp_path / "svc")
+        service.submit(CampaignSpec(bombs=BOMBS, tools=("tritonx",)))
+        rec = obs.Recorder()
+        with obs.recording(rec, close=False):
+            stats = FleetWorker(tmp_path / "svc", worker_id="w0", slots=2,
+                                poll_s=0.01, backoff=0.01).run(drain=True)
+        assert stats.requeued == 1 and stats.computed == 2
+        snap = rec.snapshot()
+        assert snap["spans"]["cell"]["count"] == 2
+        assert snap["spans"]["job"]["count"] == 2
+
+    def test_fleet_cells_persist_lifts_into_the_store(self, tmp_path):
+        root = tmp_path / "svc"
+        service = CampaignService(root)
+        service.submit(CampaignSpec(bombs=("cp_stack",), tools=("tritonx",)))
+        run_fleet(root, 1, drain=True)
+        bomb = get_bomb("cp_stack")
+        assert service.store.get_lift(image_digest(bomb.image)) is not None
 
     def test_auto_jobs_is_a_positive_cpu_count(self):
         n = auto_jobs()

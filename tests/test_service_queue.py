@@ -1,9 +1,8 @@
-"""Durable job queue: journal replay, claim/complete, crash recovery.
+"""Durable job queue: journal replay, claim/complete, backoff.
 
-The journal contract: every transition is one appended record, opening
-a queue replays the journal, and a job whose driver died after ``claim``
-but before ``done`` reverts to pending with its attempt count intact —
-so a cell is re-run after a crash, never lost, never duplicated.
+The journal contract: every transition is one appended record, and
+opening a queue replays the journal.  Taking back a crashed claimant's
+job is the fleet sweep's concern (see test_service_fleet.py).
 """
 
 from repro.service import JobQueue
@@ -54,22 +53,6 @@ def test_journal_replay_reconstructs_state(tmp_path):
         assert nxt.cell == CELLS[1]
 
 
-def test_crashed_claim_reverts_to_pending_with_attempts(tmp_path):
-    path = tmp_path / "q.jsonl"
-    with JobQueue(path) as queue:
-        queue.submit(CELLS)
-        victim = queue.claim("w0")
-        victim_id = victim.job_id
-        # Driver "dies" here: no done/requeue record is ever written.
-
-    with JobQueue(path) as recovered:
-        job = recovered.jobs[victim_id]
-        assert job.status == PENDING
-        assert job.attempts == 1  # the lost attempt still counts
-        again = recovered.claim("w0")
-        assert again.job_id == victim_id and again.attempts == 2
-
-
 def test_requeue_backoff_gates_claims(tmp_path):
     with JobQueue(tmp_path / "q.jsonl") as queue:
         queue.submit(CELLS[:1])
@@ -89,11 +72,3 @@ def test_torn_trailing_line_is_ignored(tmp_path):
     with JobQueue(path) as reopened:
         assert reopened.counts()[PENDING] == 3
 
-
-def test_memory_only_queue_without_journal():
-    queue = JobQueue(None)
-    queue.submit(CELLS)
-    assert queue.depth() == 3
-    job = queue.claim("w0")
-    queue.complete(job.job_id)
-    assert queue.counts()[DONE] == 1
