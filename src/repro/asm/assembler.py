@@ -95,18 +95,25 @@ def _unescape(body: str) -> bytes:
 
 
 def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
+    """*line* without its ``;`` or ``#`` comment; string and char
+    literals (``"a;b"``, ``'#'``) are not comments."""
+    if ";" not in line and "#" not in line:
+        return line.strip()
+    quote = None
     i = 0
     while i < len(line):
         ch = line[i]
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_str = not in_str
-        if not in_str and ch in ";#":
-            break
-        out.append(ch)
+        if quote:
+            if ch == "\\":
+                i += 1
+            elif ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch in ";#":
+            return line[:i].strip()
         i += 1
-    return "".join(out).strip()
+    return line.strip()
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")

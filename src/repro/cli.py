@@ -490,7 +490,7 @@ def cmd_campaign_results(args) -> int:
 
 def cmd_serve(args) -> int:
     from . import obs
-    from .service import serve_forever
+    from .service.api import serve_forever
 
     if args.poll <= 0:
         raise SystemExit("serve: --poll must be > 0")

@@ -71,6 +71,18 @@ class ProgramInfo:
                 info.globals[gv.name] = gv.type
         return info
 
+    def merge(self, other: "ProgramInfo") -> None:
+        """Add *other*'s functions and globals, with :meth:`collect`'s
+        duplicate checks."""
+        for name, sig in other.functions.items():
+            if name in self.functions:
+                raise CompileError(f"duplicate function {name!r}")
+            self.functions[name] = sig
+        for name, ctype in other.globals.items():
+            if name in self.globals:
+                raise CompileError(f"duplicate global {name!r}")
+            self.globals[name] = ctype
+
 
 class UnitCodegen:
     """Generates RX64 assembly text for one BombC unit."""

@@ -22,10 +22,10 @@ Turns the one-shot Table II harness into a durable analysis service:
   (selector resolution, strict validation, per-tenant quotas);
 * :mod:`~repro.service.api` — the asyncio HTTP front door
   (``repro serve``): submit/status/results, NDJSON progress streams,
-  Prometheus ``/metrics``.
+  Prometheus ``/metrics``.  It is not imported here, so processes that
+  never serve HTTP do not load :mod:`asyncio`; import it directly.
 """
 
-from .api import CampaignAPI, serve_forever, start_api
 from .campaign import (
     CampaignReport,
     CampaignService,
@@ -68,7 +68,6 @@ from .store import ResultStore, decode_cell, encode_cell
 
 __all__ = [
     "CACHE_SCHEMA",
-    "CampaignAPI",
     "CampaignReport",
     "CampaignService",
     "CampaignSpec",
@@ -101,8 +100,6 @@ __all__ = [
     "render_status_line",
     "run_fleet",
     "run_worker",
-    "serve_forever",
-    "start_api",
     "status_events",
     "status_finished",
     "watch_status",

@@ -69,6 +69,20 @@ class TestAssembler:
         """)
         assert len(list(disassemble(bytes(module.sections[".text"])))) == 1
 
+    def test_comment_characters_in_char_literals(self):
+        module = assemble(".data\nd: .byte '#', ';', 'a'  ; three bytes\n"
+                          ".text\nmovi r1, ';'\ncmpi r2, '#'  # hash comment\n")
+        assert bytes(module.sections[".data"]) == b"#;a"
+        instrs = list(disassemble(bytes(module.sections[".text"])))
+        assert [i.operands[1].value for i in instrs] == [ord(";"), ord("#")]
+
+    def test_escaped_quotes_do_not_hide_comments(self):
+        module = assemble('.rodata\ns: .asciz "a\\\\" ; c"\n'
+                          ".text\nmovi r1, '\\'' ; it's a quote\n")
+        assert bytes(module.sections[".rodata"]) == b"a\\\0"
+        (instr,) = disassemble(bytes(module.sections[".text"]))
+        assert instr.operands[1].value == ord("'")
+
     def test_data_directives(self):
         module = assemble("""
         .data

@@ -9,14 +9,20 @@ the routing table.
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
-from repro.service import CampaignService, FleetWorker, start_api
+from repro.service import CampaignService, FleetWorker
+from repro.service.api import start_api
 
 SPEC = {"name": "t", "bombs": ["cp_stack"], "tools": ["tritonx"]}
 
@@ -203,3 +209,18 @@ class TestMetrics:
         counters = rec.snapshot()["counters"]
         assert counters["service.http_requests"] == 2
         assert counters["service.http_errors"] == 1
+
+
+def test_non_serving_processes_do_not_import_asyncio():
+    """``table2``, ``worker`` and ``campaign`` never serve HTTP, so the
+    packages they import must leave :mod:`asyncio` unloaded."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, repro.cli, repro.eval, repro.service\n"
+            "print('asyncio' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
