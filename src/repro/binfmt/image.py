@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..errors import LinkError
+from ..isa import MAX_INSTRUCTION_SIZE, Instruction, decode
 
 MAGIC = b"REXF"
 VERSION = 1
@@ -75,6 +76,14 @@ class Image:
     entry: int
     sections: list[Section] = field(default_factory=list)
     symbols: dict[str, Symbol] = field(default_factory=dict)
+    #: The image's decoded-instruction table, pc -> :class:`Instruction`,
+    #: filled by :meth:`decode_at` from the section bytes and shared by
+    #: every machine process and symbolic explorer of this image object,
+    #: so each pc is decoded once per interpreter process.  Only
+    #: :meth:`decode_at` inserts, and only code pcs; a machine process
+    #: that writes into its code range switches to a private copy.
+    decoded: dict[int, Instruction] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- queries -------------------------------------------------------
 
@@ -125,6 +134,29 @@ class Image:
 
     def is_code_addr(self, addr: int) -> bool:
         return any(sec.executable and sec.vaddr <= addr < sec.end for sec in self.sections)
+
+    def decode_at(self, pc: int) -> Instruction | None:
+        """Decode the instruction at *pc* from the section bytes into
+        :attr:`decoded` (the table's miss path).
+
+        Returns ``None``, and caches nothing, when *pc* lies outside
+        every executable section.  Raises :class:`~repro.errors.VMError`
+        on an undecodable instruction.
+        """
+        if not self.is_code_addr(pc):
+            return None
+        instr = self.decoded[pc] = decode(self._read(pc, MAX_INSTRUCTION_SIZE), pc)
+        return instr
+
+    def _read(self, addr: int, size: int) -> bytes:
+        """*size* bytes at *addr* as loaded: unmapped bytes read as zero."""
+        out = bytearray(size)
+        for sec in self.sections:
+            lo = max(sec.vaddr, addr)
+            hi = min(sec.vaddr + len(sec.data), addr + size)
+            if lo < hi:
+                out[lo - addr : hi - addr] = sec.data[lo - sec.vaddr : hi - sec.vaddr]
+        return bytes(out)
 
     def code_ranges(self, include_lib: bool = True) -> list[tuple[int, int]]:
         return [

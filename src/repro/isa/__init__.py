@@ -12,6 +12,7 @@ from .opcodes import (
     COND_BRANCHES,
     FLOAT_OPS,
     LOAD_INFO,
+    MAX_INSTRUCTION_SIZE,
     MNEMONICS,
     OPSPEC,
     STORE_INFO,
@@ -40,6 +41,7 @@ __all__ = [
     "Imm",
     "Instruction",
     "LOAD_INFO",
+    "MAX_INSTRUCTION_SIZE",
     "MNEMONICS",
     "Mem",
     "NUM_FPRS",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .opcodes import OPSPEC, Op, instruction_size
+from .opcodes import INSTRUCTION_SIZE, OPSPEC, Op
 from .registers import gpr_name
 
 MASK64 = (1 << 64) - 1
@@ -88,11 +88,11 @@ class Instruction:
 
     @property
     def size(self) -> int:
-        return instruction_size(self.op)
+        return INSTRUCTION_SIZE[self.op]
 
     @property
     def next_addr(self) -> int:
-        return self.addr + self.size
+        return self.addr + INSTRUCTION_SIZE[self.op]
 
     def __str__(self) -> str:
         mnem = self.op.name.lower()

@@ -233,9 +233,19 @@ LOAD_INFO = {
 STORE_INFO = {Op.ST: 8, Op.ST1: 1, Op.ST2: 2, Op.ST4: 4}
 
 
+#: Opcode -> encoded instruction size in bytes (opcode byte + operands).
+INSTRUCTION_SIZE: dict[Op, int] = {
+    op: 1 + sum(OPERAND_SIZE[k] for k in spec) for op, spec in OPSPEC.items()
+}
+
+#: Longest encoding: a decode at pc reads no byte at or past
+#: ``pc + MAX_INSTRUCTION_SIZE``.
+MAX_INSTRUCTION_SIZE = max(INSTRUCTION_SIZE.values())
+
+
 def instruction_size(op: Op) -> int:
     """Encoded size in bytes of an instruction with opcode *op*."""
-    return 1 + sum(OPERAND_SIZE[k] for k in OPSPEC[op])
+    return INSTRUCTION_SIZE[op]
 
 
 #: Assembler mnemonic -> opcode (lower-case mnemonics).

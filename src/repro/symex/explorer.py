@@ -20,7 +20,7 @@ from ..binfmt import Image
 from ..errors import DiagnosticKind, DiagnosticLog, EngineError, SolverError
 from ..ir import il, superblock
 from ..ir.lifter import apply_binop, apply_fp_op, flag_condition
-from ..isa import Instruction, decode
+from ..isa import Instruction
 from ..smt import (
     Expr,
     Solver,
@@ -75,8 +75,9 @@ class AngrEngine:
         self.policy = policy
         self.diags = diagnostics if diagnostics is not None else DiagnosticLog()
         self.syscalls = SyscallModel(self)
-        self._decode_cache: dict[int, Instruction] = {}
-        self._code_blob: dict[int, bytes] = {}
+        # The image's shared decoded-instruction table (the concrete VM
+        # reads the same one).
+        self._code = image.decoded
         # Shared execution cache: lifted IL and superblocks live for the
         # process, keyed by the image digest; compiled handler lists are
         # engine-local (they close over nothing but are truncated at this
@@ -380,37 +381,22 @@ class AngrEngine:
     # -- execution ---------------------------------------------------------------------
 
     def _fetch(self, pc: int) -> Instruction:
-        instr = self._decode_cache.get(pc)
+        instr = self._code.get(pc)
         if instr is None:
-            if not self.image.is_code_addr(pc):
+            instr = self.image.decode_at(pc)
+            if instr is None:
                 raise EngineAbort(
                     DiagnosticKind.ENGINE_CRASH,
                     f"execution left mapped code at 0x{pc:x}",
                 )
-            blob = self._read_code(pc, 16)
-            instr = decode(blob, pc)
-            self._decode_cache[pc] = instr
         return instr
-
-    def _read_code(self, addr: int, size: int) -> bytes:
-        out = bytearray(size)
-        for sec in self.image.sections:
-            lo = max(sec.vaddr, addr)
-            hi = min(sec.vaddr + len(sec.data), addr + size)
-            if lo < hi:
-                out[lo - addr : hi - addr] = sec.data[lo - sec.vaddr : hi - sec.vaddr]
-        return bytes(out)
 
     def _block_fetch(self, pc: int) -> Instruction | None:
         """Non-raising fetch used while *building* superblocks: a pc
         outside mapped code just ends the block (the generic path raises
         if execution actually reaches it)."""
-        if not self.image.is_code_addr(pc):
-            return None
-        try:
-            return self._fetch(pc)
-        except EngineAbort:
-            return None
+        instr = self._code.get(pc)
+        return instr if instr is not None else self.image.decode_at(pc)
 
     def _block_at(self, pc: int) -> list | None:
         """Compiled handler entries for the superblock at *pc*, or None.

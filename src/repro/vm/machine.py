@@ -24,6 +24,7 @@ from ..errors import VMError
 from ..isa import (
     COND_BRANCHES,
     LOAD_INFO,
+    MAX_INSTRUCTION_SIZE,
     STORE_INFO,
     FReg,
     Imm,
@@ -73,9 +74,14 @@ class Thread:
 class Process:
     """One process: private memory, fd table, mailbox, signal handlers."""
 
-    def __init__(self, pid: int, memory, parent: int | None = None):
+    def __init__(self, pid: int, memory, code: dict[int, Instruction],
+                 parent: int | None = None):
         self.pid = pid
         self.memory = memory
+        # Decoded-instruction table the process fetches through: the
+        # image's shared table until the process writes into its code
+        # range, then a private copy decoded from its own memory.
+        self.code = code
         self.parent = parent
         self.threads: list[Thread] = []
         self.fds: dict[int, object] = {}
@@ -105,7 +111,6 @@ class RunResult:
     steps: int
     stdout: bytes
     timed_out: bool = False
-    fault: str | None = None
 
 
 class Machine:
@@ -122,13 +127,13 @@ class Machine:
         self.steps = 0
         self._next_pid = self.env.pid
         self._next_tid = 1
-        self._decode_cache: dict[int, Instruction] = {}
-        # Fast rejection bounds for decode-cache invalidation on stores
-        # (self-modifying code): only writes into an executable section
-        # can make a cached decode stale.
+        self._decodes = 0  # table misses, flushed as vm.decodes
+        # Bounds of the code-range guard every guest write passes: only a
+        # write overlapping the bytes of some code-pc instruction can
+        # make a decode stale, and the last one may run past the end.
         ranges = image.code_ranges()
         self._code_lo = min((lo for lo, _ in ranges), default=0)
-        self._code_hi = max((hi for _, hi in ranges), default=0)
+        self._code_hi = max((hi for _, hi in ranges), default=0) + MAX_INSTRUCTION_SIZE - 1
         # Per-opcode/per-syscall tallies exist only while a recorder is
         # installed; the hot step loop then pays one None-check per
         # instruction when observability is off.
@@ -163,7 +168,7 @@ class Machine:
             memory.write(sec.vaddr, sec.data)
             max_end = max(max_end, sec.end)
 
-        proc = Process(self._alloc_pid(), memory)
+        proc = Process(self._alloc_pid(), memory, self.image.decoded)
         proc.brk = (max_end + 0xFFF) & ~0xFFF
         proc.fds[0] = StdStream("stdin", in_buffer=bytearray(self.env.stdin))
         proc.fds[1] = StdStream("stdout", out_buffer=self.stdout)
@@ -207,9 +212,9 @@ class Machine:
 
     def run(self, max_steps: int = 2_000_000) -> RunResult:
         """Run to completion or until *max_steps* instructions executed."""
-        fault = None
         steps0 = self.steps
         signals0 = self._signals_delivered
+        decodes0 = self._decodes
         while self.steps < max_steps:
             ran_any = False
             for proc in sorted(self.processes.values(), key=lambda p: p.pid):
@@ -233,17 +238,16 @@ class Machine:
         timed_out = self.steps >= max_steps and any(
             p.alive for p in self.processes.values()
         )
-        self._flush_metrics(steps0, signals0)
+        self._flush_metrics(steps0, signals0, decodes0)
         return RunResult(
             exit_code=main.exit_code,
             bomb_triggered=self.bomb_triggered,
             steps=self.steps,
             stdout=bytes(self.stdout),
             timed_out=timed_out,
-            fault=fault,
         )
 
-    def _flush_metrics(self, steps0: int, signals0: int) -> None:
+    def _flush_metrics(self, steps0: int, signals0: int, decodes0: int) -> None:
         """Report this run's tallies to the installed recorder, if any."""
         if self._pc_counts:
             # One flush per run(): the profiler derives the stage (trace,
@@ -254,6 +258,7 @@ class Machine:
         if rec is None:
             return
         rec.count("vm.instructions", self.steps - steps0)
+        rec.count("vm.decodes", self._decodes - decodes0)
         rec.count("vm.signals", self._signals_delivered - signals0)
         if self.bomb_triggered:
             rec.count("vm.bomb_triggered")
@@ -288,32 +293,60 @@ class Machine:
 
     # -- instruction execution ------------------------------------------------
 
-    def _evict_decoded(self, addr: int, width: int) -> None:
-        """Self-modifying code: drop cached decodes overlapping the
-        written range (an instruction starts at most 15 bytes before)."""
-        cache = self._decode_cache
-        for pc in range(addr - 15, addr + width):
-            cache.pop(pc, None)
+    def _guard(self, proc: Process, addr: int, width: int) -> None:
+        """The code-range guard every guest memory write passes.
+
+        Self-modifying code: the first write overlapping decoded code
+        gives the process a private copy of the shared table (the image
+        and other processes keep theirs), then the decodes the write may
+        have changed are dropped from the process's table.
+        """
+        if addr < self._code_hi and addr + width > self._code_lo:
+            table = proc.code
+            if table is self.image.decoded:
+                table = proc.code = dict(table)
+            for pc in range(addr - MAX_INSTRUCTION_SIZE + 1, addr + width):
+                table.pop(pc, None)
+
+    def _decode(self, proc: Process, pc: int) -> Instruction:
+        """Table miss: decode the code address *pc* into the process's
+        table, from the image while it is shared, else from memory."""
+        table = proc.code
+        if table is self.image.decoded:
+            instr = self.image.decode_at(pc)
+        elif self.image.is_code_addr(pc):
+            instr = table[pc] = decode(proc.memory.read(pc, MAX_INSTRUCTION_SIZE), pc)
+        else:
+            instr = None
+        if instr is None:
+            raise VMError(f"pc 0x{pc:x} outside code")
+        self._decodes += 1
+        return instr
 
     def _fetch(self, proc: Process, pc: int) -> Instruction:
-        instr = self._decode_cache.get(pc)
-        if instr is None or instr.addr != pc:
-            instr = decode(proc.memory.read(pc, 16), pc)
-            self._decode_cache[pc] = instr
+        """The instruction at *pc* for signal delivery and fork: through
+        the table at a code address, decoded uncached anywhere else."""
+        instr = proc.code.get(pc)
+        if instr is None:
+            if self.image.is_code_addr(pc):
+                return self._decode(proc, pc)
+            instr = decode(proc.memory.read(pc, MAX_INSTRUCTION_SIZE), pc)
         return instr
 
     def _step(self, proc: Process, thread: Thread) -> None:
         ctx = thread.ctx
         pc = ctx.pc
-        if pc == SIGRETURN_ADDR:
-            self._sigreturn(thread)
-            return
-        if pc == THREAD_EXIT_ADDR:
-            self._thread_exit(proc, thread)
-            return
-        if not self.image.is_code_addr(pc):
-            raise VMError(f"pc 0x{pc:x} outside code")
-        instr = self._fetch(proc, pc)
+        instr = proc.code.get(pc)
+        if instr is None:
+            # The magic return addresses are never mapped, so they are
+            # never in a table.
+            if pc == SIGRETURN_ADDR:
+                self._sigreturn(thread)
+                return
+            if pc == THREAD_EXIT_ADDR:
+                self._thread_exit(proc, thread)
+                return
+            instr = self._decode(proc, pc)
         counts = self._opcode_counts
         if counts is not None:
             name = instr.op.name
@@ -348,8 +381,7 @@ class Machine:
             width = STORE_INFO[op]
             addr = u64(regs[ops[0].base] + ops[0].disp)
             mem.write_uint(addr, regs[ops[1].index], width)
-            if addr < self._code_hi and addr + width > self._code_lo:
-                self._evict_decoded(addr, width)
+            self._guard(proc, addr, width)
         elif op is Op.LEA:
             regs[ops[0].index] = u64(regs[ops[1].base] + ops[1].disp)
         elif Op.ADD <= op <= Op.SARI:
@@ -380,6 +412,7 @@ class Machine:
         elif op is Op.CALL or op is Op.CALLR:
             regs[15] = u64(regs[15] - 8)
             mem.write_u64(regs[15], next_pc)
+            self._guard(proc, regs[15], 8)
             next_pc = ops[0].addr if op is Op.CALL else regs[ops[0].index]
         elif op is Op.RET:
             next_pc = mem.read_u64(regs[15])
@@ -387,6 +420,7 @@ class Machine:
         elif op is Op.PUSH:
             regs[15] = u64(regs[15] - 8)
             mem.write_u64(regs[15], regs[ops[0].index])
+            self._guard(proc, regs[15], 8)
         elif op is Op.POP:
             regs[ops[0].index] = mem.read_u64(regs[15])
             regs[15] = u64(regs[15] + 8)
@@ -418,6 +452,7 @@ class Machine:
         elif op is Op.FST:
             addr = u64(regs[ops[0].base] + ops[0].disp)
             mem.write_u64(addr, fregs[ops[1].index])
+            self._guard(proc, addr, 8)
         elif op is Op.FMOV:
             fregs[ops[0].index] = fregs[ops[1].index]
         elif op is Op.FMOVR:
@@ -473,6 +508,7 @@ class Machine:
         ctx = thread.ctx
         ctx.regs[15] = u64(ctx.regs[15] - 8)
         proc.memory.write_u64(ctx.regs[15], SIGRETURN_ADDR)
+        self._guard(proc, ctx.regs[15], 8)
         ctx.regs[1] = signo
         ctx.pc = handler
 
@@ -544,6 +580,7 @@ class Machine:
             else:
                 chunk = handle.read(args[2])
             mem.write(args[1], chunk)
+            self._guard(proc, args[1], len(chunk))
             return len(chunk)
         if nr == Sys.OPEN:
             path = mem.read_cstr(args[0]).decode("latin1")
@@ -579,6 +616,7 @@ class Machine:
             wfd = proc.alloc_fd(PipeEnd(pipe, write_end=True))
             mem.write_uint(args[0], rfd, 8)
             mem.write_uint(args[0] + 8, wfd, 8)
+            self._guard(proc, args[0], 16)
             return 0
         if nr == Sys.WAITPID:
             target = self.processes.get(args[0])
@@ -590,6 +628,7 @@ class Machine:
                 return _BLOCK
             if args[1]:
                 mem.write_uint(args[1], target.exit_code or 0, 8)
+                self._guard(proc, args[1], 8)
             return target.pid
         if nr == Sys.THREAD_CREATE:
             entry, arg, stack_top = args[0], args[1], args[2]
@@ -597,6 +636,7 @@ class Machine:
             ctx.regs[1] = arg
             ctx.regs[15] = u64(stack_top - 8)
             mem.write_u64(ctx.regs[15], THREAD_EXIT_ADDR)
+            self._guard(proc, ctx.regs[15], 8)
             new_thread = Thread(self._alloc_tid(), ctx)
             proc.threads.append(new_thread)
             return new_thread.tid
@@ -619,6 +659,7 @@ class Machine:
                 return -1
             data = body[: args[2]]
             mem.write(args[1], data)
+            self._guard(proc, args[1], len(data))
             return len(data)
         if nr == Sys.BRK:
             if args[0]:
@@ -637,7 +678,12 @@ class Machine:
         return -1  # unknown syscall
 
     def _do_fork(self, proc: Process, thread: Thread) -> int:
-        child = Process(self._alloc_pid(), proc.memory.clone(), parent=proc.pid)
+        # The child inherits the parent's table: the shared one stays
+        # shared, a private one is copied with the memory it mirrors.
+        code = proc.code
+        if code is not self.image.decoded:
+            code = dict(code)
+        child = Process(self._alloc_pid(), proc.memory.clone(), code, parent=proc.pid)
         child.brk = proc.brk
         child.mailbox = list(proc.mailbox)
         child.sig_handlers = dict(proc.sig_handlers)
@@ -690,6 +736,7 @@ class Machine:
             ctx.regs[i] = u64(value)
         ctx.regs[15] = u64(STACK_TOP - 8)
         proc.memory.write_u64(ctx.regs[15], CALL_RETURN_ADDR)
+        self._guard(proc, ctx.regs[15], 8)
         thread.ctx = ctx
         thread.state = "run"
         try:

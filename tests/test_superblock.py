@@ -279,8 +279,8 @@ class TestVMDecodeCacheSMC:
         proc = machine.processes[machine.main_pid]
         entry = image.entry
         machine._fetch(proc, entry)
-        assert entry in machine._decode_cache
-        machine._evict_decoded(entry, 1)
-        assert entry not in machine._decode_cache
+        assert entry in proc.code
+        machine._guard(proc, entry, 1)
+        assert entry not in proc.code
         # Re-fetch decodes afresh from current memory bytes.
         assert machine._fetch(proc, entry).addr == entry

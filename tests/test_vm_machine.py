@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.asm import assemble
+from repro.binfmt import link
+from repro.isa import Imm, Instruction, Op, Reg, encode
 from repro.vm import Environment, Machine, Memory
 from repro.vm.syscalls import BOMB_EXIT_CODE
 
@@ -347,3 +350,94 @@ class TestRunControl:
         a = run_bc(src, argv=[b"p", b"3"])
         b = run_bc(src, argv=[b"p", b"3"])
         assert a.stdout == b.stdout and a.steps == b.steps
+
+
+# -- self-modifying code -------------------------------------------------
+
+# ``f`` returns 7 until a test rewrites the immediate at f+2 to 9.
+_SMC_F = """
+f:
+    movi r0, 7
+    ret
+"""
+_EXIT_R0 = """
+    mov r1, r0
+    movi r0, 0
+    syscall
+"""
+_PATCH_F = """
+    movi r8, f
+    movi r9, 9
+    st1 [r8+2], r9
+"""
+
+
+def _smc_image(body: str):
+    return link([assemble(".text\n.global _start\n_start:\n" + body + _SMC_F,
+                          "smc.s")])
+
+
+class TestSelfModifyingCode:
+    def test_read_over_code_that_already_ran(self):
+        patch = encode(Instruction(Op.MOVI, (Reg(0), Imm(9))))
+        image = _smc_image("""
+            call f
+            movi r0, 1
+            movi r1, 0
+            movi r2, f
+            movi r3, %d
+            syscall
+            call f
+        """ % len(patch) + _EXIT_R0)
+        result = Machine(image, [b"t"], Environment(stdin=patch)).run()
+        assert result.exit_code == 9
+
+    def test_fst_over_code_that_already_ran(self):
+        image = _smc_image("""
+            call f
+            movi r8, f
+            movi r9, 9
+            fmovr f0, r9
+            fst [r8+2], f0
+            call f
+        """ + _EXIT_R0)
+        assert Machine(image, [b"t"]).run().exit_code == 9
+
+    @pytest.mark.parametrize("patch_first, child_code", [(False, 7), (True, 9)])
+    def test_fork_keeps_each_process_decoding_its_own_code(self, patch_first,
+                                                           child_code):
+        # The parent patches f before or after forking, waits for a child
+        # that calls f, then calls f itself.
+        image = _smc_image((_PATCH_F if patch_first else "") + """
+            movi r0, 8
+            syscall
+            cmpi r0, 0
+            jz .Lchild
+            mov r10, r0
+        """ + ("" if patch_first else _PATCH_F) + """
+            movi r0, 10
+            mov r1, r10
+            movi r2, 0
+            syscall
+            call f
+        """ + _EXIT_R0 + """
+        .Lchild:
+            call f
+        """ + _EXIT_R0)
+        machine = Machine(image, [b"t"])
+        assert machine.run().exit_code == 9
+        [child] = [p for p in machine.processes.values() if p.pid != machine.main_pid]
+        assert child.exit_code == child_code
+
+    def test_rewrite_stays_inside_its_machine(self):
+        # argc == 2 patches f before f ever runs; a fresh machine of the
+        # same image object must still see the original code.
+        image = _smc_image("""
+            cmpi r1, 2
+            jnz .Lrun
+        """ + _PATCH_F + """
+        .Lrun:
+            call f
+        """ + _EXIT_R0)
+        assert Machine(image, [b"t", b"patch"]).run().exit_code == 9
+        assert Machine(image, [b"t"]).run().exit_code == 7
