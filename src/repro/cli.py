@@ -261,8 +261,10 @@ def cmd_table2(args) -> int:
     with _metrics(args, want=args.json or bool(trace_out),
                   capture=bool(trace_out)) as rec:
         from . import obs
+        from .obs import session
 
-        with obs.profiling(obs.Profiler() if trace_out else None) as prof:
+        prof = obs.Profiler() if trace_out else None
+        with session.overlay(profiler=prof):
             result = run_table2(bomb_ids=bombs, tools=tools,
                                 verbose=not args.json, jobs=args.jobs,
                                 timeout=args.timeout, cache=args.cache)
@@ -299,6 +301,7 @@ def cmd_table2(args) -> int:
 
 def cmd_profile(args) -> int:
     from . import obs
+    from .obs import session
     from .bombs import get_bomb
     from .eval.harness import _print_cell, run_cell
     from .tools.api import all_tool_names
@@ -321,9 +324,9 @@ def cmd_profile(args) -> int:
             raise SystemExit(
                 f"cannot open {args.metrics_out}: {err.strerror}")
     profiler = obs.Profiler()
-    with obs.recording(obs.Recorder(sinks=sinks, hist_values=True)):
-        with obs.profiling(profiler):
-            cell = run_cell(bomb, args.tool)
+    with session.overlay(recorder=obs.Recorder(sinks=sinks, hist_values=True),
+                         profiler=profiler, close=True):
+        cell = run_cell(bomb, args.tool)
     if args.trace_out:
         Path(args.trace_out).write_text(
             json.dumps(obs.chrome_trace(mem.events)))
@@ -535,12 +538,10 @@ def cmd_worker(args) -> int:
 def cmd_solverlab_capture(args) -> int:
     from .eval import solverlab
 
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("solverlab capture: --timeout must be > 0 seconds")
     with _metrics(args):
         doc = solverlab.capture_matrix(
             bombs=args.bombs, tools=args.tools, cache=args.cache,
-            timeout=args.timeout, verbose=not args.json)
+            verbose=not args.json)
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -870,8 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
              "queries, replay them offline, analyze the workload")
     lab = p.add_subparsers(dest="verb", required=True)
 
-    c = lab.add_parser("capture", help="run (a slice of) the matrix with "
-                                       "query logging on and persist the "
+    c = lab.add_parser("capture", help="run (a slice of) the matrix "
+                                       "serially in-process with query "
+                                       "logging on and persist the "
                                        "corpus into the store")
     c.add_argument("--bombs", nargs="*")
     c.add_argument("--tools", nargs="*")
@@ -879,8 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result store receiving the query corpus "
                         "(default ./.repro-solverlab; doubles as the "
                         "cell result cache)")
-    c.add_argument("--timeout", type=float, metavar="SECONDS",
-                   help="per-cell wall-clock budget")
     c.add_argument("--json", action="store_true",
                    help="emit the capture summary as JSON")
     c.add_argument("--metrics-out", metavar="FILE.jsonl",

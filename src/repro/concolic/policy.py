@@ -87,25 +87,6 @@ class ToolPolicy:
     #: Wall-clock cap per analysis (the paper's 10-minute timeout analog).
     time_limit: float = 120.0
 
-    #: Record taint/constraint provenance during replay even when no
-    #: process-wide collector is installed (``repro explain`` installs
-    #: one instead of flipping this).  Forensics never change the
-    #: analysis outcome, so the flag is excluded from the fingerprint.
-    provenance: bool = False
-
-    #: Capture every solver query into the SMT flight recorder
-    #: (:mod:`repro.smt.querylog`) even when no process-wide recorder is
-    #: installed (``repro solverlab capture`` installs one instead of
-    #: flipping this).  Captured records persist into the attached
-    #: campaign store.  Like ``provenance``, logging never changes the
-    #: analysis outcome, so the flag is excluded from the fingerprint.
-    query_log: bool = False
-
-    #: Fields that cannot affect the analysis outcome and therefore do
-    #: not participate in :meth:`fingerprint` (cached campaign cells
-    #: stay valid when they change).
-    _NON_SEMANTIC = frozenset({"provenance", "query_log"})
-
     def fingerprint(self) -> str:
         """Stable digest of every capability switch and budget.
 
@@ -113,7 +94,6 @@ class ToolPolicy:
         changes the digest, which invalidates the campaign service's
         cached cell results for this tool.
         """
-        fields = {k: v for k, v in dataclasses.asdict(self).items()
-                  if k not in self._NON_SEMANTIC}
-        blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True,
+                          separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()

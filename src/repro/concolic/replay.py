@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..obs import profile, provenance
+from ..obs import profile, session
+from ..obs.provenance import ProvenanceCollector
 from ..binfmt import Image
 from ..errors import DiagnosticKind, DiagnosticLog, VMError
 from ..ir import il, superblock
@@ -75,7 +76,7 @@ class ReplayResult:
     seed_argv: list[bytes] = field(default_factory=list)
     aborted: str | None = None
     #: forensics collector that observed this replay (None when off).
-    provenance: "provenance.ProvenanceCollector | None" = None
+    provenance: ProvenanceCollector | None = None
 
 
 class _ShadowThread:
@@ -504,7 +505,7 @@ class TraceReplayer:
         self.lib_data_ranges = image.lib_object_ranges()
         # Process-wide lifted-IL + compiled-program cache, shared with
         # every other replay round (and the symbolic explorer) of this
-        # image; persists into the campaign store when one is attached.
+        # image; persists into the session's store when there is one.
         self._cache = superblock.cache_for(image)
         self._pc_counts: dict[int, int] | None = None
 
@@ -524,16 +525,13 @@ class TraceReplayer:
         self._beyond_flagged = False
         self.env_escaped = False
         self.result = result
+        on = session.current
         # Forensics: resolved once per replay, consulted per *tainted*
         # instruction only — the untainted hot path never touches it.
-        prov = provenance.active()
-        if prov is None and self.policy.provenance:
-            prov = provenance.ProvenanceCollector()
-        self._prov = prov
-        result.provenance = prov
+        self._prov = result.provenance = on.provenance
         self._declare_argv(trace, result)
 
-        if obs.active() is not None:
+        if on.recorder is not None:
             # The lifting stage, separable so its cost is visible: warm
             # the shared IL cache over the trace's distinct instructions.
             # ``lift.instructions`` counts actual lifter runs — zero
@@ -552,7 +550,7 @@ class TraceReplayer:
 
         # Per-PC replay tally: gated once per replay, flushed once.
         self._pc_counts: dict[int, int] | None = \
-            {} if profile.active() is not None else None
+            {} if on.profiler is not None else None
         with obs.span("extract"):
             try:
                 for event in trace.events:

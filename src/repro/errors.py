@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .obs import provenance as _provenance
+from .obs import session as _session
 
 
 class ErrorStage(enum.Enum):
@@ -138,7 +138,7 @@ class DiagnosticLog:
         # "drop" event: diagnostics are exactly the points where the
         # pipeline abandoned symbolic data or a solver obligation, so
         # this single funnel guarantees evidence for every non-OK cell.
-        prov = _provenance.active()
+        prov = _session.current.provenance
         if prov is not None:
             prov.drop(kind.value, detail, pc, DIAGNOSTIC_STAGE[kind].value)
 

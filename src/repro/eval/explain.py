@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..obs import provenance
+from ..obs import session
+from ..obs.provenance import ProvenanceCollector
 from ..bombs.suite import Bomb
 from ..errors import ErrorStage
 from .classify import describe_outcome
@@ -136,7 +137,7 @@ class CellDiagnosis:
 
 
 def diagnose(cell: CellResult,
-             prov: provenance.ProvenanceCollector) -> CellDiagnosis:
+             prov: ProvenanceCollector) -> CellDiagnosis:
     """Condense one cell result + its provenance into a diagnosis."""
     evidence: list[EvidenceItem] = []
     seen: dict[tuple, EvidenceItem] = {}
@@ -195,17 +196,14 @@ def explain_cell(bomb: Bomb, tool_name: str) -> CellDiagnosis:
     """Run one cell with forensics on and return its diagnosis.
 
     Runs in-process (no worker isolation): the provenance collector is
-    process-global state, and explain exists to observe, not to guard
-    against hangs.  An obs recorder is installed if the caller has
-    none, so the stage wall breakdown is always populated.
+    in this process's session, and explain exists to observe, not to
+    guard against hangs.  An obs recorder is turned on if the caller
+    has none, so the stage wall breakdown is always populated.
     """
-    import contextlib
-
-    with contextlib.ExitStack() as stack:
-        if obs.active() is None:
-            stack.enter_context(obs.recording(obs.Recorder()))
-        with provenance.collecting() as prov:
-            cell = run_cell(bomb, tool_name)
+    prov = ProvenanceCollector()
+    recorder = obs.Recorder() if session.current.recorder is None else None
+    with session.overlay(recorder=recorder, provenance=prov, close=True):
+        cell = run_cell(bomb, tool_name)
     return diagnose(cell, prov)
 
 

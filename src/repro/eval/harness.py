@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..obs import profile, provenance
+from ..obs import session
 from ..bombs import TABLE2_BOMB_IDS, TOOL_COLUMNS, all_bombs, get_bomb
 from ..bombs.suite import Bomb
 from ..errors import ErrorStage
@@ -160,7 +160,7 @@ def run_cell(bomb: Bomb, tool_name: str,
         return result.cells[(bomb.bomb_id, tool_name)]
     tool = get_tool(tool_name)
     with obs.span("cell", bomb=bomb.bomb_id, tool=tool_name) as sp, \
-            profile.cell(bomb.bomb_id, tool_name):
+            session.cell(bomb.bomb_id, tool_name):
         report = tool.analyze_bomb(bomb)
         if report.solved and report.solution is not None:
             # Re-validate the accepted solution concretely, so every
@@ -171,7 +171,8 @@ def run_cell(bomb: Bomb, tool_name: str,
                 confirmed = bomb.triggers(report.solution, report.solution_env)
                 rp.set("validated", confirmed)
         outcome = classify(report)
-        root = primary_diagnostic(report, outcome, provenance.active())
+        root = primary_diagnostic(report, outcome,
+                                  session.current.provenance)
         sp.set("outcome", str(outcome))
         sp.set("expected", bomb.expected.get(tool_name))
         if root is not None:
@@ -271,33 +272,23 @@ def run_table2(
         return result
     from ..service.fingerprint import cell_key
 
-    if store is not None:
-        from ..fuzz import corpus as fuzz_corpus
-        from ..ir import superblock
-        from ..smt import querylog
-
-        # Warm campaigns also skip lifting: caches created from here on
-        # preload from (and persist into) the store's lift/ tree.
-        superblock.attach_store(store)
-        # Fuzz campaigns persist under corpus/ the same way: an identical
-        # campaign restores its verdict + corpus with zero executions.
-        fuzz_corpus.attach_store(store)
-        # Tools whose policy sets ``query_log`` persist captured solver
-        # queries under smtlog/ the same way (see repro.smt.querylog).
-        querylog.attach_store(store)
     result = Table2Result()
-    for bomb_id in bomb_ids:
-        bomb = get_bomb(bomb_id)
-        for tool_name in tools:
-            key = cell_key(bomb, tool_name) if store is not None else None
-            cell = store.get(key, bomb) if store is not None else None
-            if cell is None:
-                cell = run_cell(bomb, tool_name)
-                if store is not None:
-                    store.put(key, cell)
-            result.add(cell)
-            if verbose:
-                _print_cell(cell)
+    # With a store, warm runs also skip lifting and fuzzing: lift caches
+    # and fuzz campaigns preload from (and persist into) its lift/ and
+    # corpus/ trees for the loop, and no longer than that.
+    with session.overlay(store=store):
+        for bomb_id in bomb_ids:
+            bomb = get_bomb(bomb_id)
+            for tool_name in tools:
+                key = cell_key(bomb, tool_name) if store is not None else None
+                cell = store.get(key, bomb) if store is not None else None
+                if cell is None:
+                    cell = run_cell(bomb, tool_name)
+                    if store is not None:
+                        store.put(key, cell)
+                result.add(cell)
+                if verbose:
+                    _print_cell(cell)
     return result
 
 

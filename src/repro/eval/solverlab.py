@@ -35,6 +35,7 @@ from pathlib import Path
 
 from .. import obs
 from ..errors import SolverError
+from ..obs import session
 from ..smt import querylog
 from ..smt.solver import IncrementalSolver, Solver
 
@@ -51,14 +52,14 @@ def _store(cache):
 # -- capture -----------------------------------------------------------------
 
 def capture_matrix(bombs=None, tools=None, cache=".repro-solverlab",
-                   timeout: float | None = None,
                    verbose: bool = False) -> dict:
-    """Run a (sliced) matrix with the flight recorder installed.
+    """Run a (sliced) matrix with the flight recorder on.
 
-    Cells run serially in-process (the recorder is process-local), with
-    the store at *cache* serving/storing cell results as usual — so a
-    cold capture also warms the result cache, and a warm rerun issues
-    (and captures) zero queries.  Returns the capture summary.
+    Cells run serially in-process (the recorder is process-local; each
+    tool's ``time_limit`` still bounds a cell), with the store at
+    *cache* serving/storing cell results as usual — so a cold capture
+    also warms the result cache, and a warm rerun issues (and captures)
+    zero queries.  Returns the capture summary.
     """
     from ..bombs import TABLE2_BOMB_IDS, TOOL_COLUMNS
     from .harness import run_table2
@@ -68,9 +69,9 @@ def capture_matrix(bombs=None, tools=None, cache=".repro-solverlab",
     store = _store(cache)
     recorder = querylog.QueryRecorder()
     with obs.span("solverlab", verb="capture", cells=len(bombs) * len(tools)):
-        with querylog.capturing(recorder):
+        with session.overlay(queries=recorder):
             result = run_table2(bomb_ids=bombs, tools=tools, verbose=verbose,
-                                timeout=timeout, cache=store)
+                                cache=store)
     persisted = recorder.persist(store)
     matched, labelled = result.agreement()
     summary = recorder.summary()

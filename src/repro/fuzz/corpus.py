@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 
 from .. import obs
+from ..obs import session
 
 MAP_SIZE = 1 << 16
 
@@ -160,31 +161,20 @@ def campaign_key(image_digest: str, fingerprint_payload: dict) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
-# -- store attachment ------------------------------------------------------
+# -- persistence through the session's store ---------------------------------
 #
-# Mirrors superblock.attach_store(): the harness attaches its result
-# store before a cached matrix run and campaigns transparently persist
-# and restore through it; everything works storeless too.
-
-_STORE = None
-
-
-def attach_store(store) -> None:
-    """Route campaign persistence through *store* (None detaches)."""
-    global _STORE
-    _STORE = store
-
-
-def attached_store():
-    return _STORE
-
+# A cached matrix run scopes its result store into the session
+# (repro.obs.session); campaigns persist and restore through it and work
+# storeless too.
 
 def persist_campaign(key: str, payload: dict) -> None:
-    if _STORE is not None:
-        _STORE.put_corpus(key, payload)
+    store = session.current.store
+    if store is not None:
+        store.put_corpus(key, payload)
 
 
 def load_campaign(key: str) -> dict | None:
-    if _STORE is None:
+    store = session.current.store
+    if store is None:
         return None
-    return _STORE.get_corpus(key)
+    return store.get_corpus(key)

@@ -15,7 +15,7 @@ corpus.  The campaign stops at the first trigger, when the execution or
 step budget runs out, or when havoc goes *dry* (a full stretch of
 executions with no new coverage).
 
-With a result store attached (:func:`~repro.fuzz.corpus.attach_store`)
+With a result store in the session (:mod:`repro.obs.session`),
 finished campaigns persist under ``corpus/`` and an identical campaign
 restores its corpus and verdict without executing anything — the warm
 half of the cache contract the CI smoke asserts.

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import hashlib
 
+from .. import obs
 from ..isa import Instruction
+from ..obs import session
 from . import il
 from .lifter import lift
 
@@ -344,9 +346,12 @@ def decode_stmt(data: list):
 
 
 # -- process-wide registry --------------------------------------------------
+#
+# Caches are content (keyed by the image digest), not instrumentation:
+# they live here for the process.  The store they preload from and
+# persist into is the session's (repro.obs.session), so a run scopes it.
 
 _CACHES: dict[str, LiftCache] = {}
-_STORE = None
 
 
 def image_digest(image) -> str:
@@ -354,46 +359,36 @@ def image_digest(image) -> str:
     return hashlib.sha256(image.to_bytes()).hexdigest()
 
 
-def attach_store(store) -> None:
-    """Persist lift caches into *store* (a ``ResultStore``) from now on.
-
-    Caches created after this call preload from the store's ``lift/``
-    tree; :func:`persist` writes dirty caches back.
-    """
-    global _STORE
-    _STORE = store
-
-
 def cache_for(image) -> LiftCache:
-    """The process-wide :class:`LiftCache` for *image*."""
+    """The process-wide :class:`LiftCache` for *image*; a new one
+    preloads from the session's store, if any."""
     digest = image_digest(image)
     cache = _CACHES.get(digest)
     if cache is None:
         cache = LiftCache(digest, image)
         _CACHES[digest] = cache
-        if _STORE is not None:
-            payload = _STORE.get_lift(digest)
+        store = session.current.store
+        if store is not None:
+            payload = store.get_lift(digest)
             if payload is not None:
                 restored = cache.load(payload)
                 if restored:
-                    from .. import obs
-
                     obs.count("cache.lift_store_hits", restored)
                 cache.dirty = False
     return cache
 
 
 def persist(cache: LiftCache) -> bool:
-    """Write *cache* back to the attached store, if dirty."""
-    if _STORE is None or not cache.dirty:
+    """Write *cache* back to the session's store, if dirty."""
+    store = session.current.store
+    if store is None or not cache.dirty:
         return False
-    _STORE.put_lift(cache.digest, cache.serialize())
+    store.put_lift(cache.digest, cache.serialize())
     cache.dirty = False
     return True
 
 
 def reset() -> None:
-    """Drop every cache and detach the store (test isolation)."""
-    global _STORE
+    """Drop every cache (test isolation, and a forked worker's fresh
+    start against its own store)."""
     _CACHES.clear()
-    _STORE = None

@@ -2,10 +2,12 @@
 
 A dependency-free instrumentation layer: hierarchical spans with
 wall/CPU timing, named counters and histograms, and pluggable sinks
-(in-memory aggregation plus a JSONL event stream).  One process-wide
-:class:`Recorder` is installed with :func:`install`/:func:`recording`;
-when none is installed every hook degrades to a near-free no-op, so the
-engines stay import-cheap and fast with observability off.
+(in-memory aggregation plus a JSONL event stream).  A :class:`Recorder`
+is on while it is the recorder of the process's session
+(:mod:`repro.obs.session`, scoped with ``with session.overlay(...)`` or
+the :func:`recording` shorthand); when none is on every hook degrades to
+a near-free no-op, so the engines stay import-cheap and fast with
+observability off.
 
 The metric names form the measurement substrate for the paper's
 artifacts (see the README glossary): ``taint.instructions_tainted`` is
@@ -14,22 +16,11 @@ Figure 3's tainted-instruction count, the ``trace``/``lift``/
 behind each Table II label, and ``smt.*`` exposes the CDCL core.
 """
 
-from .core import (
-    NULL_SPAN,
-    Recorder,
-    Span,
-    active,
-    count,
-    install,
-    observe,
-    recording,
-    span,
-    trace_context,
-    uninstall,
-)
+from .core import NULL_SPAN, Recorder, Span, count, observe, span
 from .export import prometheus_text, render_profile, self_time_profile
-from .profile import Profiler, profiling
-from .provenance import ProvenanceCollector, collecting
+from .profile import Profiler
+from .provenance import ProvenanceCollector
+from .session import recording
 from .sinks import JsonlSink, MemorySink
 from .stats import Aggregate, aggregate_events, read_events, render_stats
 from .traceviz import (
@@ -49,16 +40,12 @@ __all__ = [
     "ProvenanceCollector",
     "Recorder",
     "Span",
-    "active",
     "aggregate_events",
     "chrome_trace",
     "collapsed_stacks",
-    "collecting",
     "count",
     "hotspots",
-    "install",
     "observe",
-    "profiling",
     "prometheus_text",
     "read_events",
     "recording",
@@ -67,7 +54,5 @@ __all__ = [
     "render_stats",
     "self_time_profile",
     "span",
-    "trace_context",
-    "uninstall",
     "validate_chrome_trace",
 ]

@@ -1,12 +1,13 @@
-"""Recorder core: spans, counters, histograms, process-wide scoping.
+"""Recorder core: spans, counters, histograms, and the module hooks.
 
 Design constraints (why the shape is what it is):
 
 * **Zero cost when off.**  Engines call the module-level
-  :func:`count`/:func:`observe`/:func:`span` hooks; each is one global
-  load and a ``None`` check when no recorder is installed.  Hot loops
-  (the VM step loop, the SAT search) never call these per iteration —
-  they keep local integers and flush once per run/query.
+  :func:`count`/:func:`observe`/:func:`span` hooks; each reads the
+  session's recorder (:mod:`repro.obs.session`) and stops at a ``None``
+  check when none is on.  Hot loops (the VM step loop, the SAT search)
+  never call these per iteration — they keep local integers and flush
+  once per run/query.
 * **Deterministic for tests.**  Both clocks are injectable, so span
   timing is exactly reproducible with a fake clock.
 * **Sinks see a flat event stream.**  Spans emit one event at exit
@@ -20,6 +21,8 @@ from __future__ import annotations
 import os
 import time
 import uuid
+
+from . import session as _session
 
 
 class Span:
@@ -106,7 +109,7 @@ class Span:
 
 
 class _NullSpan:
-    """Reentrant no-op span used when no recorder is installed."""
+    """Reentrant no-op span used when no recorder is on."""
 
     __slots__ = ()
     wall_s = 0.0
@@ -294,7 +297,7 @@ class Recorder:
         """Merge another recorder's flushed event stream into this one.
 
         The parallel evaluation harness records each worker process to
-        its own JSONL stream and folds them back into the session
+        its own JSONL stream and folds them back into the parent's
         recorder with this method: span events update ``span_stats``
         and are re-emitted verbatim to this recorder's sinks (so a
         ``--metrics-out`` file still carries every per-cell event);
@@ -323,11 +326,10 @@ class Recorder:
                     self.observe(event["name"], value)
             elif kind == "prof":
                 # Worker profiler buckets.  Merge into this process's
-                # profiler when one is installed (it re-emits merged
-                # totals on its own flush); otherwise pass them through
-                # so the stream stays lossless.
-                from . import profile as _profile
-                prof = _profile.active()
+                # profiler when one is on (it re-emits merged totals on
+                # its own flush); otherwise pass them through so the
+                # stream stays lossless.
+                prof = _session.current.profiler
                 if prof is not None:
                     prof.absorb_event(event)
                 else:
@@ -384,73 +386,22 @@ class Recorder:
             sink.close()
 
 
-# -- process-wide scoping ---------------------------------------------------
-
-_active: Recorder | None = None
-
-
-def active() -> Recorder | None:
-    """The currently installed recorder, or None when observability is off."""
-    return _active
-
-
-def install(recorder: Recorder) -> None:
-    global _active
-    _active = recorder
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-class recording:
-    """``with recording(rec):`` — install *rec* for the block, then
-    flush/close it and restore the previous recorder."""
-
-    def __init__(self, recorder: Recorder, close: bool = True):
-        self.recorder = recorder
-        self._close = close
-        self._prev: Recorder | None = None
-
-    def __enter__(self) -> Recorder:
-        self._prev = _active
-        install(self.recorder)
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _active
-        _active = self._prev
-        if self._close:
-            self.recorder.close()
-        return False
-
-
 # -- module-level hooks (the cheap always-callable API) ---------------------
 
 def count(name: str, n: int = 1) -> None:
-    rec = _active
+    rec = _session.current.recorder
     if rec is not None:
         rec.count(name, n)
 
 
 def observe(name: str, value: float) -> None:
-    rec = _active
+    rec = _session.current.recorder
     if rec is not None:
         rec.observe(name, value)
 
 
 def span(name: str, **attrs):
-    rec = _active
+    rec = _session.current.recorder
     if rec is None:
         return NULL_SPAN
     return rec.span(name, **attrs)
-
-
-def trace_context() -> tuple[str | None, str | None]:
-    """(trace id, innermost open span id) to thread into a forked
-    worker, or ``(None, None)`` when observability is off."""
-    rec = _active
-    if rec is None:
-        return (None, None)
-    return (rec.trace_id, rec.current_span_id())

@@ -8,10 +8,10 @@ and the data the explore-stage and solver-portfolio work needs.
 
 The same discipline as :mod:`repro.obs.core` applies:
 
-* **Zero cost when off.**  Hot loops gate a local dict on
-  ``profile.active() is not None`` once at construction/run start and
-  never call module hooks per step.  With no profiler installed the
-  per-step cost is exactly what it was before this module existed.
+* **Zero cost when off.**  Hot loops gate a local dict on the session's
+  ``profiler`` once at construction/run start and never call module
+  hooks per step.  With no profiler on, the per-step cost is exactly
+  what it was before this module existed.
 * **Flush once per run.**  The VM, explorer, and replayer tally PCs
   into plain local dicts and hand them over in one
   :func:`record_pcs`/:func:`record_vm` call at the end of the run.
@@ -24,7 +24,7 @@ The same discipline as :mod:`repro.obs.core` applies:
 
 from __future__ import annotations
 
-from . import core as _core
+from . import session as _session
 
 #: Span names that identify a pipeline stage; the innermost open span
 #: with one of these names attributes flushed VM counts to a stage.
@@ -57,9 +57,12 @@ class Profiler:
 
     # -- cell context ----------------------------------------------------
 
-    def set_cell(self, bomb: str | None, tool: str | None) -> None:
-        self._bomb = bomb
-        self._tool = tool
+    def set_cell(self, bomb: str | None, tool: str | None) -> tuple:
+        """Attribute what follows to (*bomb*, *tool*); returns the
+        previous pair."""
+        prev = (self._bomb, self._tool)
+        self._bomb, self._tool = bomb, tool
+        return prev
 
     # -- recording -------------------------------------------------------
 
@@ -169,81 +172,10 @@ class Profiler:
                     bucket[stat] += event.get(stat, 0)
 
 
-# -- process-wide scoping ---------------------------------------------------
-
-_active: Profiler | None = None
-
-
-def active() -> Profiler | None:
-    """The installed profiler, or None when attribution is off."""
-    return _active
-
-
-def install(profiler: Profiler) -> None:
-    global _active
-    _active = profiler
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-class profiling:
-    """``with profiling(prof):`` — install for the block, then flush the
-    buckets into the active recorder's stream and restore the previous
-    profiler.  ``profiling(None)`` is a no-op block, so call sites can
-    gate on a flag without branching."""
-
-    def __init__(self, profiler: Profiler | None):
-        self.profiler = profiler
-        self._prev: Profiler | None = None
-
-    def __enter__(self) -> Profiler | None:
-        if self.profiler is not None:
-            self._prev = _active
-            install(self.profiler)
-        return self.profiler
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.profiler is not None:
-            global _active
-            _active = self._prev
-            self.profiler.flush_to(_core.active())
-        return False
-
-
-# -- module-level hooks (one global load + None check when off) -------------
-
-class _cell_ctx:
-    """Scopes the (bomb, tool) attribution context around one cell."""
-
-    __slots__ = ("_bomb", "_tool", "_prev")
-
-    def __init__(self, bomb, tool):
-        self._bomb = bomb
-        self._tool = tool
-
-    def __enter__(self):
-        prof = _active
-        if prof is not None:
-            self._prev = (prof._bomb, prof._tool)
-            prof.set_cell(self._bomb, self._tool)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        prof = _active
-        if prof is not None:
-            prof.set_cell(*self._prev)
-        return False
-
-
-def cell(bomb, tool) -> _cell_ctx:
-    return _cell_ctx(bomb, tool)
-
+# -- module-level hooks (read the session's profiler; None when off) -------
 
 def record_pcs(stage: str, counts, walls=None) -> None:
-    prof = _active
+    prof = _session.current.profiler
     if prof is not None and (counts or walls):
         prof.record_pcs(stage, counts, walls)
 
@@ -251,11 +183,12 @@ def record_pcs(stage: str, counts, walls=None) -> None:
 def record_vm(counts) -> None:
     """VM step-loop flush: attribute to the innermost open stage span
     (``trace`` during tracing, ``replay`` during validation, ...)."""
-    prof = _active
+    current = _session.current
+    prof = current.profiler
     if prof is None or not counts:
         return
     stage = "vm"
-    rec = _core.active()
+    rec = current.recorder
     if rec is not None:
         for span in reversed(rec._stack):
             if span.name in STAGE_NAMES:
@@ -266,7 +199,7 @@ def record_vm(counts) -> None:
 
 def record_query(tag, wall_s: float, status: str = "", *, conflicts: int = 0,
                  gates: int = 0, learnt: int = 0) -> None:
-    prof = _active
+    prof = _session.current.profiler
     if prof is not None and tag is not None:
         prof.record_query(tag, wall_s, status, conflicts=conflicts,
                           gates=gates, learnt=learnt)

@@ -4,9 +4,8 @@ Every cell that runs outside the serial in-process loop — ``table2
 --jobs/--timeout``, ``run_cell(timeout=)``, ``campaign run`` and ``repro
 worker`` — is started by :class:`repro.service.fleet.FleetWorker` as a
 forked process running :func:`_worker_main`.  That function is the one
-place that drops the observability, profiler and query-log state a
-child inherits across ``fork``, and it gives every attempt three
-properties:
+place that drops the session (:mod:`repro.obs.session`) a child
+inherits across ``fork``, and it gives every attempt three properties:
 
 * **wall-clock timeouts** — the worker's parent kills an attempt that
   exceeds the per-cell budget, and a SIGTERM flushes in-flight spans
@@ -36,7 +35,7 @@ import pickle
 import signal
 
 from .. import obs
-from ..obs import profile
+from ..obs import session
 from ..bombs import get_bomb
 from ..bombs.suite import Bomb
 from ..errors import DiagnosticKind, DiagnosticLog
@@ -88,24 +87,20 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
     attribution profiler mirrors the parent's state.  A SIGTERM (the
     timeout path) flushes in-flight spans with an ``aborted`` attribute
     and the profiler's buckets before exiting, so killed cells still
-    appear in traces.  *store_root* attaches the result store, so lifts,
-    fuzz corpora and captured queries persist exactly as in-process.
+    appear in traces.  *store_root* names the result store, so lifts and
+    fuzz corpora persist exactly as in-process.
     """
-    obs.uninstall()  # inherited recorder writes to the parent's fds
-    profile.uninstall()
-    from ..smt import querylog
-    querylog.uninstall()  # inherited captures would be lost on exit
+    store = None
     if store_root is not None:
-        from ..fuzz import corpus as fuzz_corpus
         from ..ir import superblock
 
-        worker_store = ResultStore(store_root)
+        store = ResultStore(store_root)
         # Inherited lift caches are clean with respect to some other
         # store (or none) and would never persist into this one.
         superblock.reset()
-        superblock.attach_store(worker_store)
-        fuzz_corpus.attach_store(worker_store)
-        querylog.attach_store(worker_store)
+    # Nothing inherited stays on: the parent's recorder writes to the
+    # parent's fds, and captures and collectors would be lost on exit.
+    session.reset(session.Session(store=store))
     bomb = get_bomb(bomb_id)
     if metrics_path is not None:
         trace_id, parent_span_id, profiling_on = \
@@ -113,7 +108,7 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
         recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
                                 hist_values=True, trace_id=trace_id,
                                 parent_span_id=parent_span_id)
-        profiler = profile.Profiler() if profiling_on else None
+        profiler = obs.Profiler() if profiling_on else None
 
         def _terminated(signum, frame):
             if profiler is not None:
@@ -123,11 +118,10 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
             os._exit(128 + signal.SIGTERM)
 
         signal.signal(signal.SIGTERM, _terminated)
-        with obs.recording(recorder):
-            with profile.profiling(profiler):
-                with obs.span("job", bomb=bomb_id, tool=tool,
-                              attempt=attempt):
-                    cell = run_cell(bomb, tool)
+        with session.overlay(recorder=recorder, profiler=profiler,
+                             close=True):
+            with obs.span("job", bomb=bomb_id, tool=tool, attempt=attempt):
+                cell = run_cell(bomb, tool)
     else:
         cell = run_cell(bomb, tool)
     if os.environ.get(KILL_CELL_ENV) == f"{bomb_id}:{tool}" and attempt == 1:

@@ -54,7 +54,7 @@ from multiprocessing.connection import wait
 from pathlib import Path
 
 from .. import obs
-from ..obs import profile, read_events
+from ..obs import read_events, session
 from ..bombs import get_bomb
 from .executor import _mp_context, _worker_main, infrastructure_failure_cell
 from .fingerprint import cell_key
@@ -439,14 +439,14 @@ class FleetWorker:
                                 result="cached"):
                     self._deliver(cached)
                 return None
-        recorder = obs.active()
+        on = session.current
         result_path = str(Path(tmpdir) /
                           f"{cid}-{job.job_id}-a{job.attempts}.pkl")
         metrics_path = trace_ctx = None
-        if recorder is not None:
+        if on.recorder is not None:
             metrics_path = result_path + ".jsonl"
-            trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                         profile.active() is not None)
+            trace_ctx = (on.recorder.trace_id, on.recorder.current_span_id(),
+                         on.profiler is not None)
         proc = _mp_context().Process(
             target=_worker_main,
             args=(job.bomb_id, job.tool, job.attempts, result_path,
@@ -564,7 +564,7 @@ class FleetWorker:
 
     @staticmethod
     def _absorb(attempt: _Attempt, *, strict: bool) -> None:
-        recorder = obs.active()
+        recorder = session.current.recorder
         if recorder is not None and attempt.metrics_path is not None \
                 and os.path.exists(attempt.metrics_path):
             recorder.absorb(read_events(attempt.metrics_path, strict=strict))

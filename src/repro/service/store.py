@@ -158,30 +158,18 @@ class ResultStore:
     def __len__(self) -> int:
         return sum(1 for _ in self._objects.glob("*/*.json"))
 
-    def get(self, key: str, bomb: Bomb) -> CellResult | None:
-        """The stored cell for *key*, or None (counted as hit/miss)."""
-        path = self._path(key)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            obs.count("service.cache_misses")
-            return None
-        if doc.get("schema") != CACHE_SCHEMA:
-            obs.count("service.cache_misses")
-            return None
-        obs.count("service.cache_hits")
-        return decode_cell(doc, bomb)
+    # -- one atomic write, one read ----------------------------------------
 
-    def put(self, key: str, cell: CellResult) -> None:
-        """Store *cell* under *key* atomically (last writer wins)."""
-        path = self._path(key)
+    @staticmethod
+    def _write(path: Path, doc: dict, kind: str) -> None:
+        """Write *doc* to *path* atomically (temp file + ``os.replace``,
+        last writer wins) and count it under ``service.<kind>_stores``."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = json.dumps(encode_cell(cell), sort_keys=True,
-                         separators=(",", ":"))
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                fp.write(doc)
+                fp.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -189,7 +177,34 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        obs.count("service.cache_stores")
+        obs.count(f"service.{kind}_stores")
+
+    @staticmethod
+    def _read(path: Path, schema: int | None = None) -> dict | None:
+        """The document at *path*, or None when it is missing or torn,
+        or was stored under another *schema* (when one is given)."""
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        if schema is not None and doc.get("schema") != schema:
+            return None
+        return doc
+
+    # -- cell results -------------------------------------------------------
+
+    def get(self, key: str, bomb: Bomb) -> CellResult | None:
+        """The stored cell for *key*, or None (counted as hit/miss)."""
+        doc = self._read(self._path(key), CACHE_SCHEMA)
+        if doc is None:
+            obs.count("service.cache_misses")
+            return None
+        obs.count("service.cache_hits")
+        return decode_cell(doc, bomb)
+
+    def put(self, key: str, cell: CellResult) -> None:
+        """Store *cell* under *key* atomically (last writer wins)."""
+        self._write(self._path(key), encode_cell(cell), "cache")
 
     # -- persisted lift caches ---------------------------------------------
 
@@ -198,29 +213,12 @@ class ResultStore:
 
     def put_lift(self, digest: str, payload: dict) -> None:
         """Store an image's serialized lift cache (last writer wins)."""
-        path = self._lift_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                fp.write(doc)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        obs.count("service.lift_stores")
+        self._write(self._lift_path(digest), payload, "lift")
 
     def get_lift(self, digest: str) -> dict | None:
-        """The persisted lift payload for an image digest, or None."""
-        try:
-            return json.loads(
-                self._lift_path(digest).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
+        """The persisted lift payload for an image digest, or None (its
+        schema is :meth:`repro.ir.superblock.LiftCache.load`'s to check)."""
+        return self._read(self._lift_path(digest))
 
     # -- persisted fuzzing corpora -----------------------------------------
 
@@ -229,33 +227,12 @@ class ResultStore:
 
     def put_corpus(self, key: str, payload: dict) -> None:
         """Store a finished fuzz campaign's corpus and verdict."""
-        path = self._corpus_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = json.dumps({"schema": CACHE_SCHEMA, **payload},
-                         sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                fp.write(doc)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        obs.count("service.corpus_stores")
+        self._write(self._corpus_path(key),
+                    {"schema": CACHE_SCHEMA, **payload}, "corpus")
 
     def get_corpus(self, key: str) -> dict | None:
         """The persisted campaign for *key*, or None."""
-        try:
-            doc = json.loads(
-                self._corpus_path(key).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if doc.get("schema") != CACHE_SCHEMA:
-            return None
-        return doc
+        return self._read(self._corpus_path(key), CACHE_SCHEMA)
 
     # -- captured solver queries (the SMT flight recorder) -----------------
 
@@ -278,29 +255,13 @@ class ResultStore:
         if path.exists():
             obs.count("service.query_dedup")
             return False
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                fp.write(doc)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        obs.count("service.query_stores")
+        self._write(path, body, "query")
         return True
 
     def get_query(self, digest: str) -> dict | None:
-        """The stored query record for *digest*, or None."""
-        try:
-            return json.loads(
-                self._query_path(digest).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
+        """The stored query record for *digest*, or None (its schema is
+        :func:`repro.smt.querylog.decode_record`'s to check)."""
+        return self._read(self._query_path(digest))
 
     def query_digests(self) -> list[str]:
         """Every stored query digest (sorted; manifests excluded)."""
@@ -309,47 +270,20 @@ class ResultStore:
     def put_query_manifest(self, bomb: str, tool: str,
                            payload: dict) -> None:
         """Store one cell's query occurrence stream (last writer wins)."""
-        path = self._manifest_path(bomb, tool)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = json.dumps({"schema": CACHE_SCHEMA, "bomb": bomb,
-                          "tool": tool, **payload},
-                         sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                fp.write(doc)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        obs.count("service.manifest_stores")
+        self._write(self._manifest_path(bomb, tool),
+                    {"schema": CACHE_SCHEMA, "bomb": bomb, "tool": tool,
+                     **payload}, "manifest")
 
     def get_query_manifest(self, bomb: str, tool: str) -> dict | None:
         """The stored manifest for one (bomb, tool) cell, or None."""
-        try:
-            doc = json.loads(
-                self._manifest_path(bomb, tool).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if doc.get("schema") != CACHE_SCHEMA:
-            return None
-        return doc
+        return self._read(self._manifest_path(bomb, tool), CACHE_SCHEMA)
 
     def query_manifests(self) -> list[dict]:
         """Every stored cell manifest, sorted by (bomb, tool); torn or
         stale-schema documents are skipped like any other miss."""
-        docs = []
-        for path in (self._smtlog / "manifests").glob("*.json"):
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if doc.get("schema") != CACHE_SCHEMA:
-                continue
-            docs.append(doc)
+        docs = [self._read(path, CACHE_SCHEMA) for path in
+                (self._smtlog / "manifests").glob("*.json")]
+        docs = [doc for doc in docs if doc is not None]
         docs.sort(key=lambda d: (d.get("bomb") or "", d.get("tool") or ""))
         return docs
 
@@ -357,32 +291,13 @@ class ResultStore:
 
     def put_diagnosis(self, key: str, diagnosis) -> None:
         """Store a cell's forensic diagnosis next to its result."""
-        path = self._diagnosis_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = json.dumps({"schema": CACHE_SCHEMA, **diagnosis.to_json()},
-                         sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                fp.write(doc)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        obs.count("service.diagnosis_stores")
+        self._write(self._diagnosis_path(key),
+                    {"schema": CACHE_SCHEMA, **diagnosis.to_json()},
+                    "diagnosis")
 
     def get_diagnosis(self, key: str):
         """The stored diagnosis for *key*, or None."""
         from ..eval.explain import CellDiagnosis
 
-        try:
-            doc = json.loads(
-                self._diagnosis_path(key).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if doc.get("schema") != CACHE_SCHEMA:
-            return None
-        return CellDiagnosis.from_json(doc)
+        doc = self._read(self._diagnosis_path(key), CACHE_SCHEMA)
+        return None if doc is None else CellDiagnosis.from_json(doc)

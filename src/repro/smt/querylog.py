@@ -22,11 +22,11 @@ Two halves, mirroring the IL codec in :mod:`repro.ir.superblock`:
   distinct query exactly once; per-cell manifests keep the occurrence
   stream (which cell issued which query, in order, at what cost).
 
-The process-wide hook discipline is the same as
-:mod:`repro.obs.profile`: one module-level ``_active`` slot, checked
-once per query on the solver's existing telemetry slow path.  With no
-recorder installed (and no metrics recorder / profiler either) the
-solvers take their zero-cost fast path and this module adds nothing.
+A recorder is on while it is the ``queries`` field of the session
+(:mod:`repro.obs.session`), checked once per query on the solver's
+existing telemetry slow path.  With no recorder on (and no metrics
+recorder or profiler either) the solvers take their zero-cost fast
+path and this module adds nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import hashlib
 import json
 
 from .. import obs
+from ..obs import session
 from .expr import (
     _BV_BINOPS,
     _CMP_OPS,
@@ -286,7 +287,7 @@ def decode_record(body: dict):
 # -- the recorder ------------------------------------------------------------
 
 class QueryRecorder:
-    """In-memory flight recorder for one capture session.
+    """In-memory flight recorder for one capture run.
 
     ``records`` maps digest → record body (each distinct query once);
     ``occurrences`` maps ``(bomb, tool)`` → the cell's query stream in
@@ -308,9 +309,12 @@ class QueryRecorder:
 
     # -- cell context ----------------------------------------------------
 
-    def set_cell(self, bomb: str | None, tool: str | None) -> None:
-        self._bomb = bomb
-        self._tool = tool
+    def set_cell(self, bomb: str | None, tool: str | None) -> tuple:
+        """Attribute what follows to (*bomb*, *tool*); returns the
+        previous pair."""
+        prev = (self._bomb, self._tool)
+        self._bomb, self._tool = bomb, tool
+        return prev
 
     # -- recording -------------------------------------------------------
 
@@ -400,97 +404,12 @@ class QueryRecorder:
         return {"stored": stored, "skipped": skipped, "cells": cells}
 
 
-# -- process-wide scoping ----------------------------------------------------
-
-_active: QueryRecorder | None = None
-_store = None
-
-
-def active() -> QueryRecorder | None:
-    """The installed recorder, or None when query logging is off."""
-    return _active
-
-
-def install(recorder: QueryRecorder) -> None:
-    global _active
-    _active = recorder
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-def attach_store(store) -> None:
-    """Register the campaign store that flag-driven captures persist to
-    (wired next to the superblock/corpus store attachments when a run
-    has a ``--cache``)."""
-    global _store
-    _store = store
-
-
-def detach_store() -> None:
-    global _store
-    _store = None
-
-
-def attached_store():
-    return _store
-
-
-class capturing:
-    """``with capturing(rec):`` — install for the block, restore the
-    previous recorder after.  ``capturing(None)`` is a no-op block, so
-    call sites can gate on a flag without branching."""
-
-    def __init__(self, recorder: QueryRecorder | None):
-        self.recorder = recorder
-        self._prev: QueryRecorder | None = None
-
-    def __enter__(self) -> QueryRecorder | None:
-        if self.recorder is not None:
-            self._prev = _active
-            install(self.recorder)
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.recorder is not None:
-            global _active
-            _active = self._prev
-        return False
-
-
-class _cell_ctx:
-    """Scopes the (bomb, tool) attribution context around one cell."""
-
-    __slots__ = ("_bomb", "_tool", "_prev")
-
-    def __init__(self, bomb, tool):
-        self._bomb = bomb
-        self._tool = tool
-
-    def __enter__(self):
-        rec = _active
-        if rec is not None:
-            self._prev = (rec._bomb, rec._tool)
-            rec.set_cell(self._bomb, self._tool)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        rec = _active
-        if rec is not None:
-            rec.set_cell(*self._prev)
-        return False
-
-
-def cell(bomb, tool) -> _cell_ctx:
-    return _cell_ctx(bomb, tool)
-
+# -- module hook -------------------------------------------------------------
 
 def record_check(tagged, extra, tag, status: str, wall_s: float, stats: dict,
                  solver: str = "oneshot", budget: dict | None = None) -> None:
     """Module hook the solvers call from their telemetry slow path."""
-    rec = _active
+    rec = session.current.queries
     if rec is not None:
         rec.record_check(tagged, extra, tag, status, wall_s, stats,
                          solver=solver, budget=budget)

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .. import obs
-from ..obs import profile
+from ..obs import profile, session
 from ..errors import SolverError
 from . import querylog
 from .bitblast import BitBlaster
@@ -84,7 +84,7 @@ class Solver:
         """Check satisfiability of the asserted constraints (+ *extra*).
 
         *tag* is the ``(pc, kind)`` constraint tag of the guard this
-        query decides; when an attribution profiler is installed the
+        query decides; when an attribution profiler is on the
         query's latency and CDCL effort are bucketed under it.
 
         Raises :class:`SolverError` on budget exhaustion or when a
@@ -92,8 +92,7 @@ class Solver:
         divisors).
         """
         self.queries += 1
-        if obs.active() is None and profile.active() is None \
-                and querylog.active() is None:
+        if not session.current.times_queries:
             return self._check(extra)
         t0 = time.perf_counter()
         status = "error"
@@ -264,7 +263,7 @@ class IncrementalSolver:
         """Check the asserted prefix plus *extra* (this query only).
 
         *tag* is the ``(pc, kind)`` tag of the negated guard, fed to
-        the attribution profiler's per-query telemetry when installed.
+        the attribution profiler's per-query telemetry when it is on.
 
         Raises :class:`SolverError` exactly where :meth:`Solver.check`
         would: budget exhaustion or an unsupported theory anywhere in
@@ -273,8 +272,7 @@ class IncrementalSolver:
         if isinstance(extra, Expr):
             extra = [extra]
         self.queries += 1
-        if obs.active() is None and profile.active() is None \
-                and querylog.active() is None:
+        if not session.current.times_queries:
             return self._check(list(extra or []))
         t0 = time.perf_counter()
         status = "error"
@@ -389,7 +387,7 @@ class IncrementalSolver:
         self._last_restarts = sat.restarts
         self._last_gates = blaster.gates
         self._last_learnt = sat.learnt
-        rec = obs.active()
+        rec = session.current.recorder
         if rec is None:
             return stats
         rec.count("smt.conflicts", stats["conflicts"])
@@ -419,7 +417,7 @@ def report_sat_stats(sat: SatSolver,
         "learnt": sat.learnt,
         "gates": blaster.gates if blaster is not None else 0,
     }
-    rec = obs.active()
+    rec = session.current.recorder
     if rec is None:
         return stats
     rec.count("smt.conflicts", sat.conflicts)

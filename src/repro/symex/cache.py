@@ -27,6 +27,7 @@ engine has already done once:
 from __future__ import annotations
 
 from .. import obs
+from ..obs import session
 from ..errors import SolverError
 from ..ir import il
 from ..ir.lifter import apply_binop, apply_fp_op
@@ -361,7 +362,7 @@ class PathSolver:
                "restarts": sat.restarts, "learnt": sat.learnt,
                "gates": blaster.gates}
         last, self._last_stats = self._last_stats, now
-        rec = obs.active()
+        rec = session.current.recorder
         if rec is None:
             return
         for key in ("conflicts", "decisions", "restarts", "learnt"):

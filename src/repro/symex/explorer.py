@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..obs import profile, provenance
+from ..obs import profile, session
 from ..binfmt import Image
 from ..errors import DiagnosticKind, DiagnosticLog, EngineError, SolverError
 from ..ir import il, superblock
@@ -91,7 +91,7 @@ class AngrEngine:
         # Per-PC symbolic step tally; exists only while an attribution
         # profiler is installed so the step loop pays one None check.
         self._prof_pcs: dict[int, int] | None = \
-            {} if profile.active() is not None else None
+            {} if session.current.profiler is not None else None
         self._fresh = 0
         self.computation_vars: set[str] = set()
         self.input_vars: set[str] = set()
@@ -279,7 +279,7 @@ class AngrEngine:
                     )
                 prev = var
             state.write_byte(cursor + width, mk_const(0, 8))
-            prov = provenance.active()
+            prov = session.current.provenance
             if prov is not None:
                 prov.introduce(
                     f"argv[{k}] declared symbolic: {width} byte(s) at "

@@ -88,17 +88,6 @@ class SymexPolicy:
     #: Wall-clock cap per analysis (the paper's 10-minute timeout analog).
     time_limit: float = 90.0
 
-    #: Capture every solver query into the SMT flight recorder
-    #: (:mod:`repro.smt.querylog`); records persist into the attached
-    #: campaign store.  Logging never changes the analysis outcome, so
-    #: the flag is excluded from the fingerprint.
-    query_log: bool = False
-
-    #: Fields that cannot affect the analysis outcome and therefore do
-    #: not participate in :meth:`fingerprint` (cached campaign cells
-    #: stay valid when they change).
-    _NON_SEMANTIC = frozenset({"query_log"})
-
     def fingerprint(self) -> str:
         """Stable digest of every capability switch and budget.
 
@@ -106,7 +95,6 @@ class SymexPolicy:
         changes the digest, which invalidates the campaign service's
         cached cell results for this tool.
         """
-        fields = {k: v for k, v in dataclasses.asdict(self).items()
-                  if k not in self._NON_SEMANTIC}
-        blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True,
+                          separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()

@@ -25,7 +25,7 @@ class TaintSummary:
     symbolic_branches: int
     model_nodes: int
     #: the per-instruction provenance chain, when a collector was
-    #: active (or *policy.provenance* was set); None otherwise.
+    #: on; None otherwise.
     provenance: object | None = None
 
     @property

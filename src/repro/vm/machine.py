@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .. import obs
-from ..obs import profile
+from ..obs import profile, session
 from ..binfmt import Image
 from ..errors import VMError
 from ..isa import (
@@ -137,13 +136,14 @@ class Machine:
         # Per-opcode/per-syscall tallies exist only while a recorder is
         # installed; the hot step loop then pays one None-check per
         # instruction when observability is off.
-        recording = obs.active() is not None
-        self._opcode_counts: dict[str, int] | None = {} if recording else None
+        on = session.current
+        self._opcode_counts: dict[str, int] | None = \
+            {} if on.recorder is not None else None
         # Per-PC tallies exist only while an attribution profiler is
         # installed — same gate-at-construction discipline, so the step
         # loop stays one None-check when profiling is off.
         self._pc_counts: dict[int, int] | None = \
-            {} if profile.active() is not None else None
+            {} if on.profiler is not None else None
         self._syscall_counts: dict[int, int] = {}
         self._signals_delivered = 0
         # Hooks (used by the tracing layer).
@@ -254,7 +254,7 @@ class Machine:
             # replay, ...) from the innermost open span.
             profile.record_vm(self._pc_counts)
             self._pc_counts = {}
-        rec = obs.active()
+        rec = session.current.recorder
         if rec is None:
             return
         rec.count("vm.instructions", self.steps - steps0)

@@ -12,7 +12,7 @@ import pytest
 from repro.bombs import get_bomb
 from repro.cli import main
 from repro.eval import CellDiagnosis, EvidenceItem, explain_cell, explain_matrix
-from repro.obs import provenance
+from repro.obs import session
 from repro.service import ResultStore, cell_key
 
 
@@ -57,7 +57,7 @@ class TestExplainCell:
         assert any(e.kind == "drop" for e in diag.evidence)
 
     def test_no_collector_leaks(self, solved_cell):
-        assert provenance.active() is None
+        assert session.current.provenance is None
 
     def test_repeated_events_aggregate(self, es3_cell):
         # One concolic run re-replays per round; identical drops fold

@@ -16,7 +16,6 @@ from repro.fuzz import (
     CoverageFuzzer,
     FuzzConfig,
     HybridPolicy,
-    attach_store,
     run_hybrid,
 )
 from repro.fuzz.corpus import Corpus, EdgeCoverage, bucket_index, edge_slot
@@ -27,6 +26,7 @@ from repro.fuzz.mutator import (
     dictionary_tokens,
 )
 from repro.fuzz.random_fuzzer import _XorShift
+from repro.obs import session
 from repro.service import ResultStore
 
 
@@ -169,15 +169,12 @@ class TestCoverageFuzzer:
             return CoverageFuzzer(bomb.image, config, bomb.base_env(),
                                   argv0=b"sv_time")
 
-        attach_store(ResultStore(tmp_path))
-        try:
-            rec = obs.Recorder()
-            with obs.recording(rec):
-                cold = fresh().campaign((b"1",))
-                warm = fresh().campaign((b"1",))
-            counters = rec.snapshot()["counters"]
-        finally:
-            attach_store(None)
+        rec = obs.Recorder()
+        with session.overlay(store=ResultStore(tmp_path), recorder=rec,
+                             close=True):
+            cold = fresh().campaign((b"1",))
+            warm = fresh().campaign((b"1",))
+        counters = rec.snapshot()["counters"]
         assert not cold.restored and warm.restored
         assert warm.executions == cold.executions
         assert warm.corpus.digest() == cold.corpus.digest()

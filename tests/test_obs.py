@@ -19,6 +19,7 @@ from repro.obs import (
     aggregate_events,
     read_events,
     render_stats,
+    session,
 )
 
 
@@ -207,7 +208,7 @@ class TestJsonlConcurrentWriters:
 
 class TestOffMode:
     def test_hooks_are_noops_without_a_recorder(self):
-        assert obs.active() is None
+        assert session.current.recorder is None
         obs.count("nothing")
         obs.observe("nothing", 1.0)
         assert obs.span("nothing") is NULL_SPAN
@@ -217,12 +218,12 @@ class TestOffMode:
 
     def test_off_mode_overhead_is_tiny(self):
         # 200k disabled count() calls must stay well under a second:
-        # the off path is one global load and a None check.  A generous
-        # absolute bound keeps this robust on slow CI machines while
-        # still catching an accidentally-heavy off path.
+        # the off path is one session-field load and a None check.  A
+        # generous absolute bound keeps this robust on slow CI machines
+        # while still catching an accidentally-heavy off path.
         import time
 
-        assert obs.active() is None
+        assert session.current.recorder is None
         t0 = time.perf_counter()
         for _ in range(200_000):
             obs.count("x")
@@ -231,13 +232,13 @@ class TestOffMode:
     def test_recording_scopes_and_restores(self):
         outer = Recorder()
         with obs.recording(outer, close=False):
-            assert obs.active() is outer
+            assert session.current.recorder is outer
             inner = Recorder()
             with obs.recording(inner, close=False):
-                assert obs.active() is inner
+                assert session.current.recorder is inner
                 obs.count("scoped")
-            assert obs.active() is outer
-        assert obs.active() is None
+            assert session.current.recorder is outer
+        assert session.current.recorder is None
         assert inner.counters == {"scoped": 1}
         assert outer.counters == {}
 
@@ -246,7 +247,7 @@ class TestOffMode:
         with pytest.raises(RuntimeError):
             with obs.recording(rec):
                 raise RuntimeError
-        assert obs.active() is None
+        assert session.current.recorder is None
 
 
 class TestEngineWiring:

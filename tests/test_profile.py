@@ -20,7 +20,7 @@ import pytest
 from repro import obs
 from repro.bombs import get_bomb
 from repro.eval.harness import run_cell, run_table2
-from repro.obs import profile
+from repro.obs import profile, session
 from repro.obs.core import bucket_counts
 from repro.obs.traceviz import (
     chrome_trace,
@@ -33,10 +33,10 @@ from repro.obs.traceviz import (
 
 @pytest.fixture(autouse=True)
 def _no_leaked_profiler():
-    """Every test starts and ends with no profiler installed."""
-    profile.uninstall()
+    """Every test starts and ends with nothing on."""
+    session.reset()
     yield
-    profile.uninstall()
+    session.reset()
 
 
 class TestProfilerBuckets:
@@ -90,17 +90,17 @@ class TestProfilerBuckets:
         assert snap["pcs"][0]["pc"] == 2  # solve wall dominates
 
     def test_module_hooks_are_noops_when_off(self):
-        assert profile.active() is None
+        assert session.current.profiler is None
         profile.record_pcs("trace", {1: 1})
         profile.record_vm({1: 1})
         profile.record_query((1, "negation"), 0.1)
-        with profile.cell("b", "t"):
-            pass  # must not raise with no profiler installed
+        with session.cell("b", "t"):
+            pass  # must not raise with no profiler on
 
     def test_record_vm_attributes_to_innermost_stage_span(self):
         prof = profile.Profiler()
         rec = obs.Recorder()
-        with obs.recording(rec, close=False), profile.profiling(prof):
+        with obs.recording(rec, close=False), session.overlay(profiler=prof):
             with obs.span("cell"), obs.span("trace"):
                 profile.record_vm({0x30: 7})
             profile.record_vm({0x31: 1})  # no stage span open
@@ -115,8 +115,8 @@ class TestFlushAbsorb:
         rec = obs.Recorder(sinks=[sink], hist_values=True)
         prof = profile.Profiler()
         with obs.recording(rec):
-            with profile.profiling(prof):
-                with profile.cell(bomb, "toolx"):
+            with session.overlay(profiler=prof):
+                with session.cell(bomb, "toolx"):
                     with obs.span("cell"), obs.span("trace"):
                         profile.record_vm(dict(pc_steps))
                     profile.record_query((0x99, "negation"), query_wall,
@@ -131,7 +131,7 @@ class TestFlushAbsorb:
 
         parent_prof = profile.Profiler()
         parent = obs.Recorder(sinks=[obs.MemorySink()])
-        with profile.profiling(parent_prof):
+        with session.overlay(profiler=parent_prof):
             parent.absorb(stream_a)
             parent.absorb(stream_b)
             # Duplicate counter names across workers sum exactly.
@@ -199,7 +199,7 @@ class TestTraceStitching:
         sink = obs.MemorySink()
         rec = obs.Recorder(sinks=[sink], hist_values=True)
         with obs.recording(rec, close=False):
-            with profile.profiling(profile.Profiler()):
+            with session.overlay(profiler=profile.Profiler()):
                 run_table2(bomb_ids=("cp_stack", "sv_time"),
                            tools=("tritonx",), jobs=2)
         rec.close()
@@ -254,7 +254,7 @@ class TestIntegration:
         prof = profile.Profiler()
         rec = obs.Recorder(sinks=[obs.MemorySink()], hist_values=True)
         with obs.recording(rec, close=False):
-            with profile.profiling(prof):
+            with session.overlay(profiler=prof):
                 cell = run_cell(get_bomb("cp_stack"), "tritonx")
         assert str(cell.outcome) == "ok"
         snap = prof.snapshot()
@@ -268,14 +268,14 @@ class TestIntegration:
         assert all(isinstance(r["pc"], int) for r in snap["queries"])
         assert {r["kind"] for r in snap["queries"]} == {"negation"}
         # Bookkeeping counters flushed when the profiling block exited.
-        with profile.profiling(prof):
+        with session.overlay(profiler=prof):
             pass
         assert rec.counters["prof.pc_buckets"] > 0
 
     def test_explorer_tags_queries_with_explore_kind(self):
         prof = profile.Profiler()
         with obs.recording(obs.Recorder(), close=False):
-            with profile.profiling(prof):
+            with session.overlay(profiler=prof):
                 run_cell(get_bomb("cp_stack"), "angrx_nolib")
         kinds = {r["kind"] for r in prof.snapshot()["queries"]}
         assert "explore" in kinds
@@ -287,14 +287,14 @@ class TestIntegration:
         from repro.trace.tracer import record_trace
 
         bomb = get_bomb("cp_stack")
-        assert profile.active() is None
+        assert session.current.profiler is None
         trace = record_trace(bomb.image, [b"prog"] + bomb.seed_argv[1:])
         assert trace.instruction_count > 0  # ran with _pc_counts gated off
 
     def test_hotspot_report_renders_real_cell(self):
         prof = profile.Profiler()
         with obs.recording(obs.Recorder(), close=False):
-            with profile.profiling(prof):
+            with session.overlay(profiler=prof):
                 run_cell(get_bomb("cp_stack"), "tritonx")
         text = render_hotspots(prof.snapshot(), top=5)
         assert "Hot PCs" in text and "Hot guards" in text

@@ -10,7 +10,7 @@ end-to-end wiring through the taint replayer and the concolic engine.
 import pytest
 
 from repro import obs
-from repro.obs import provenance
+from repro.obs import session
 from repro.obs.provenance import CoreMember, ProvenanceCollector
 from repro.errors import SolverError
 from repro.smt import mk_cmp, mk_const, mk_eq, mk_var, unsat_core
@@ -20,14 +20,14 @@ from .helpers import compile_bc
 
 @pytest.fixture(autouse=True)
 def _no_leaked_collector():
-    assert provenance.active() is None
+    assert session.current.provenance is None
     yield
-    assert provenance.active() is None
+    assert session.current.provenance is None
 
 
 class TestCollector:
     def test_off_by_default(self):
-        assert provenance.active() is None
+        assert session.current.provenance is None
 
     def test_taint_aggregates_per_pc(self):
         prov = ProvenanceCollector()
@@ -60,18 +60,20 @@ class TestCollector:
 
     def test_collecting_scopes_and_restores(self):
         outer = ProvenanceCollector()
-        with provenance.collecting(outer) as prov:
-            assert provenance.active() is prov is outer
-            with provenance.collecting() as inner:
-                assert provenance.active() is inner
+        with session.overlay(provenance=outer) as s:
+            assert session.current.provenance is s.provenance is outer
+            inner = ProvenanceCollector()
+            with session.overlay(provenance=inner):
+                assert session.current.provenance is inner
                 assert inner is not outer
-            assert provenance.active() is outer
-        assert provenance.active() is None
+            assert session.current.provenance is outer
+        assert session.current.provenance is None
 
     def test_collecting_flushes_prov_counters(self):
         rec = obs.Recorder()
         with obs.recording(rec):
-            with provenance.collecting() as prov:
+            prov = ProvenanceCollector()
+            with session.overlay(provenance=prov):
                 prov.record_taint(0x10, "add", 0)
                 prov.record_taint(0x10, "add", 1)
                 prov.introduce("argv")
@@ -87,7 +89,7 @@ class TestCollector:
     def test_empty_collector_flushes_nothing(self):
         rec = obs.Recorder()
         with obs.recording(rec):
-            with provenance.collecting():
+            with session.overlay(provenance=ProvenanceCollector()):
                 pass
         assert not [k for k in rec.counters if k.startswith("prov.")]
 
@@ -137,7 +139,8 @@ class TestFigure3Provenance:
         from repro.trace import taint_summary
 
         bomb = get_bomb(variant)
-        with provenance.collecting() as prov:
+        prov = ProvenanceCollector()
+        with session.overlay(provenance=prov):
             summary = taint_summary(bomb.image, [variant.encode(), b"77"],
                                     bomb.base_env())
         assert summary.provenance is prov
@@ -181,7 +184,8 @@ class TestEngineCores:
         from repro.tools.profiles import TRITONX
 
         image = compile_bc(self.SOURCE)
-        with provenance.collecting() as prov:
+        prov = ProvenanceCollector()
+        with session.overlay(provenance=prov):
             report = ConcolicEngine(TRITONX).run(image, [b"1"], argv0=b"x")
         return report, prov
 
@@ -208,14 +212,6 @@ class TestEngineCores:
 
 
 class TestPolicyFingerprint:
-    def test_provenance_flag_is_non_semantic(self):
-        import dataclasses
-
-        from repro.tools.profiles import TRITONX
-
-        flipped = dataclasses.replace(TRITONX, provenance=True)
-        assert flipped.fingerprint() == TRITONX.fingerprint()
-
     def test_semantic_fields_still_move_the_fingerprint(self):
         import dataclasses
 

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from repro.obs import session
 from repro.smt import querylog
 from repro.smt.expr import (
     FP_OPS,
@@ -211,15 +212,15 @@ class TestQueryRecorder:
 
     def test_cell_scoping_restores_previous_context(self):
         rec = QueryRecorder()
-        with querylog.capturing(rec):
-            with querylog.cell("outer_bomb", "outer_tool"):
-                with querylog.cell("inner_bomb", "inner_tool"):
+        with session.overlay(queries=rec):
+            with session.cell("outer_bomb", "outer_tool"):
+                with session.cell("inner_bomb", "inner_tool"):
                     assert rec._bomb == "inner_bomb"
                 assert rec._bomb == "outer_bomb"
-        assert querylog.active() is None
+        assert session.current.queries is None
 
     def test_module_hook_is_noop_without_recorder(self):
-        assert querylog.active() is None
+        assert session.current.queries is None
         querylog.record_check([], [], None, "sat", 0.0, {})  # must not raise
 
     def test_persist_skips_empty_cells_and_dedups_records(self, tmp_path):
@@ -246,8 +247,8 @@ class TestSolverIntegration:
         from repro.smt.solver import Solver
 
         rec = QueryRecorder()
-        with querylog.capturing(rec):
-            with querylog.cell("b", "t"):
+        with session.overlay(queries=rec):
+            with session.cell("b", "t"):
                 solver = Solver(max_conflicts=777)
                 x = mk_var("x", 8)
                 solver.add(mk_eq(x, mk_const(3, 8)), tag=(0x10, "negation"))
@@ -268,7 +269,7 @@ class TestSolverIntegration:
 
         rec = QueryRecorder()
         x = mk_var("x", 8)
-        with querylog.capturing(rec):
+        with session.overlay(queries=rec):
             solver = IncrementalSolver()
             solver.assert_expr(mk_cmp("ult", x, mk_const(10, 8)))
             solver.check([mk_eq(x, mk_const(3, 8))])
@@ -284,7 +285,7 @@ class TestSolverIntegration:
         from repro.smt.solver import Solver
 
         rec = QueryRecorder()
-        with querylog.capturing(rec):
+        with session.overlay(queries=rec):
             solver = Solver()
             x = mk_var("x", 8)
             solver.add(mk_cmp("ult", x, mk_const(5, 8)))
@@ -297,41 +298,3 @@ class TestSolverIntegration:
         for tag, expr in tagged:
             fresh.add(expr, tag)
         assert fresh.check(assumptions).status == recorded.status == "unsat"
-
-
-class TestPolicyFingerprints:
-    def test_tool_policy_fingerprint_ignores_query_log(self):
-        from repro.tools.profiles import TRACE_PROFILES
-
-        policy = TRACE_PROFILES["tritonx"]
-        base = policy.fingerprint()
-        import dataclasses
-
-        flipped = dataclasses.replace(policy, query_log=True)
-        assert flipped.fingerprint() == base
-
-    def test_symex_policy_fingerprint_ignores_query_log(self):
-        from repro.tools.profiles import SYMEX_PROFILES
-        import dataclasses
-
-        policy = SYMEX_PROFILES["angrx"]
-        flipped = dataclasses.replace(policy, query_log=True)
-        assert flipped.fingerprint() == policy.fingerprint()
-
-    def test_hybrid_policy_fingerprint_ignores_nested_query_log(self):
-        from repro.tools.profiles import HYBRID_PROFILES
-        import dataclasses
-
-        policy = HYBRID_PROFILES["hybridx"]
-        flipped = dataclasses.replace(
-            policy,
-            concolic=dataclasses.replace(policy.concolic, query_log=True))
-        assert flipped.fingerprint() == policy.fingerprint()
-
-    def test_capability_fingerprint_stable_under_flag(self):
-        # The cache-key digest must not move when logging toggles —
-        # otherwise turning the recorder on would invalidate every
-        # cached cell result.
-        from repro.tools.api import capability_fingerprint
-
-        assert capability_fingerprint("tritonx")  # smoke: resolvable

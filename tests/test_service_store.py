@@ -31,6 +31,29 @@ from repro.tools import capability_fingerprint
 from repro.tools.profiles import TRITONX
 
 
+#: ``capability_fingerprint`` of every tool and ``cell_key`` of four
+#: cells, pinned byte for byte.
+GOLDEN_CAPABILITIES = {
+    "bapx": "a43ffbac82c629c781afefc86a9d48843fd06fcabd364b1a4271d03004e904bc",
+    "tritonx": "efc0c13477c10f2f9cac34238a360d7cb789d68dbe5a254346a7f8d7510c606b",
+    "angrx": "e72ca15ebd3d2a53648869a74d3cd62f5d3eee5327369dc25d0d73f61bcd2cdb",
+    "angrx_nolib": "47cc9615b049e810d501d60f988b5f457a0f160cb9bdbf3ad4559adff3642f54",
+    "sandshrewx": "258e68a3b87a665c339918ce56af94ba3252f913603ea7b8dbbf6605c455de96",
+    "hybridx": "4ec095dc84d7279a9f8d3f0b04937f98f0fe3babbf716106f578728809076c83",
+    "rexx": "1ab44ee2f196a9ed4a55c749127501b9d475b87a8ebc3283571396ec9a5d9222",
+}
+GOLDEN_CELL_KEYS = {
+    ("cp_stack", "tritonx"):
+        "cb0cb36df95cab3e4965987aa84fcbf96f9b053e3d293ddb30f569b1fbf99eaf",
+    ("sv_time", "hybridx"):
+        "6ffd2b4c79e8c32b7da39e0e38b94d26a59436f83db8a1cbd2c675e0dec7b555",
+    ("cf_sha1", "sandshrewx"):
+        "60ca740d9894cdf6360f5534ae799f5e2e2e1b53477c12e33b0a46270054fd31",
+    ("sa_l1_array", "angrx_nolib"):
+        "ad8e86f30663d6bccbf7cee99bbbf10224bb5b930781b6fa7cf54f502aeb82a8",
+}
+
+
 class EditedBomb(Bomb):
     """A bomb whose image compiles from an in-test (edited) source."""
 
@@ -92,6 +115,14 @@ class TestCellKeys:
         relabelled = dataclasses.replace(
             bomb, expected={t: "E" for t in bomb.expected})
         assert cell_key(relabelled, "tritonx") == cell_key(bomb, "tritonx")
+
+    def test_golden_fingerprints(self):
+        # A capability policy describes capabilities only: any change to
+        # these digests invalidates every cached cell of the tool.
+        assert {t: capability_fingerprint(t)
+                for t in GOLDEN_CAPABILITIES} == GOLDEN_CAPABILITIES
+        assert {(b, t): cell_key(get_bomb(b), t)
+                for b, t in GOLDEN_CELL_KEYS} == GOLDEN_CELL_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +195,107 @@ class TestResultStore:
         doc["schema"] = CACHE_SCHEMA + 1
         store._path(key).write_text(json.dumps(doc), encoding="utf-8")
         assert store.get(key, bomb) is None
+
+
+#: A payload for the kinds whose writer takes one as is.
+_PAYLOAD = {"entries": [[1, "x"]], "verdict": None}
+
+
+def _document_kind(kind, store, cell):
+    """(write, read, path, stored document) of one document kind.
+
+    *read* returns the document form of what the public reader hands
+    back, so a round trip compares documents for every kind.
+    """
+    bomb = get_bomb("cp_stack")
+    key = "ab" * 32
+    if kind == "cell":
+        def read():
+            got = store.get(key, bomb)
+            return None if got is None else encode_cell(got)
+        return (lambda: store.put(key, cell), read, store._path(key),
+                encode_cell(cell))
+    if kind == "lift":
+        return (lambda: store.put_lift(key, _PAYLOAD),
+                lambda: store.get_lift(key), store._lift_path(key), _PAYLOAD)
+    if kind == "corpus":
+        return (lambda: store.put_corpus(key, _PAYLOAD),
+                lambda: store.get_corpus(key), store._corpus_path(key),
+                {"schema": CACHE_SCHEMA, **_PAYLOAD})
+    if kind == "query":
+        return (lambda: store.put_query(key, _PAYLOAD),
+                lambda: store.get_query(key), store._query_path(key),
+                _PAYLOAD)
+    if kind == "manifest":
+        return (lambda: store.put_query_manifest("b", "t", _PAYLOAD),
+                lambda: store.get_query_manifest("b", "t"),
+                store._manifest_path("b", "t"),
+                {"schema": CACHE_SCHEMA, "bomb": "b", "tool": "t",
+                 **_PAYLOAD})
+    from repro.eval import CellDiagnosis, EvidenceItem
+
+    diagnosis = CellDiagnosis("b", "t", "Es2", "Es2", "lost", evidence=[
+        EvidenceItem("drop", "gone", pc=0x10, count=2)])
+
+    def read():
+        got = store.get_diagnosis(key)
+        return None if got is None else {"schema": CACHE_SCHEMA,
+                                         **got.to_json()}
+    return (lambda: store.put_diagnosis(key, diagnosis), read,
+            store._diagnosis_path(key),
+            {"schema": CACHE_SCHEMA, **diagnosis.to_json()})
+
+
+class _TornFile:
+    """A file whose write lands half its text, then fails."""
+
+    def __init__(self, fp):
+        self.fp = fp
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fp.close()
+        return False
+
+    def write(self, text):
+        self.fp.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("kind", ["cell", "lift", "corpus", "query",
+                                      "manifest", "diagnosis"])
+    def test_atomic_write_canonical_bytes_and_torn_reads(
+            self, tmp_path, monkeypatch, kind, solved_cell):
+        import os
+
+        store = ResultStore(tmp_path / "store")
+        write, read, path, doc = _document_kind(kind, store, solved_cell)
+        # A write that fails midway leaves neither its temp file nor
+        # the target behind.
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **kw: _TornFile(
+            real_fdopen(fd, *a, **kw)))
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        monkeypatch.undo()
+        assert not path.exists()
+        assert list(path.parent.glob("*.tmp")) == []
+        assert read() is None
+        # Round trip: the file holds the canonical JSON of the document.
+        rec = obs.Recorder()
+        with obs.recording(rec, close=False):
+            write()
+        assert path.read_bytes() == json.dumps(
+            doc, sort_keys=True, separators=(",", ":")).encode()
+        assert read() == doc
+        stores = {"cell": "cache"}.get(kind, kind)
+        assert rec.counters[f"service.{stores}_stores"] == 1
+        # A torn document reads as missing.
+        path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+        assert read() is None
 
 
 class TestQueryStore:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.eval import solverlab
+from repro.obs import session
 from repro.service.store import ResultStore
 from repro.smt import querylog
 
@@ -36,8 +37,8 @@ class TestCapture:
         assert doc["stored"] == doc["distinct"]
         assert doc["dedup_ratio"] == pytest.approx(
             1.0 - doc["distinct"] / doc["queries"], abs=1e-6)
-        # The recorder was uninstalled again after the capture.
-        assert querylog.active() is None
+        # The recorder was switched off again after the capture.
+        assert session.current.queries is None
 
     def test_each_distinct_query_stored_once(self, corpus):
         root, doc = corpus

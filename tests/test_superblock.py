@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro import obs
+from repro.obs import session
 from repro.bombs import get_bomb
 from repro.ir import il, superblock
 from repro.ir.superblock import LiftCache, decode_stmt, encode_stmt
@@ -151,17 +152,17 @@ class TestStorePersistence:
         from repro.service.store import ResultStore
 
         store = ResultStore(tmp_path)
-        superblock.attach_store(store)
         image = _image()
-        cache = superblock.cache_for(image)
-        stmts, _ = cache.lift_for(_instr(Op.ADD, image.entry))
-        assert superblock.persist(cache)
+        with session.overlay(store=store):
+            cache = superblock.cache_for(image)
+            stmts, _ = cache.lift_for(_instr(Op.ADD, image.entry))
+            assert superblock.persist(cache)
         assert not cache.dirty
 
         # A "new process": fresh registry, same store.
         superblock.reset()
-        superblock.attach_store(store)
-        warm = superblock.cache_for(image)
+        with session.overlay(store=store):
+            warm = superblock.cache_for(image)
         assert warm.loaded == 1
         restored, fresh = warm.lift_for(_instr(Op.ADD, image.entry))
         assert restored == stmts and not fresh and warm.fresh_lifts == 0
