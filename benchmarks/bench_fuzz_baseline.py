@@ -33,7 +33,7 @@ def _fuzz_all():
             argv0=bomb_id.encode(),
         )
         fuzzer = CoverageFuzzer(
-            bomb.image, FuzzConfig(persist=False), bomb.base_env(),
+            bomb.image, FuzzConfig(), bomb.base_env(),
             argv0=bomb_id.encode(), fixed_tail=tuple(bomb.seed_argv[1:]),
         )
         campaign = fuzzer.campaign(tuple(bomb.seed_argv[:1]))

@@ -165,10 +165,6 @@ class Image:
             if sec.executable and (include_lib or not sec.library)
         ]
 
-    @property
-    def max_vaddr(self) -> int:
-        return max((sec.end for sec in self.sections), default=0)
-
     # -- serialization ---------------------------------------------------
 
     def to_bytes(self) -> bytes:

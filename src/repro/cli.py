@@ -183,11 +183,8 @@ def cmd_solve(args) -> int:
             solved = raw.solved and _triggers(raw.solution)
             solution = raw.solution if solved else None
             diags = raw.diagnostics
-        elif args.tool in SYMEX_PROFILES or args.tool == "rexx":
-            if args.tool == "rexx":
-                from .tools.rexx import REXX as policy
-            else:
-                policy = SYMEX_PROFILES[args.tool]
+        elif args.tool in SYMEX_PROFILES:
+            policy = SYMEX_PROFILES[args.tool]
             engine = AngrEngine(image, policy)
             raw = engine.explore(seed, argv0=argv0)
             solution = None
@@ -196,9 +193,8 @@ def cmd_solve(args) -> int:
                     if _triggers(claim):
                         solution = claim
                         break
-            budget = getattr(policy, "concrete_fallback_budget", 0)
-            if (solution is None and budget > 0
-                    and getattr(engine, "opaque_concretized", False)):
+            budget = policy.concrete_fallback_budget
+            if solution is None and budget > 0 and engine.opaque_concretized:
                 from .fuzz.mutator import cracking_candidates
 
                 with obs.span("concrete_fallback", tool=args.tool):
@@ -311,7 +307,7 @@ def cmd_profile(args) -> int:
     except KeyError:
         raise SystemExit(f"profile: unknown bomb {args.bomb!r} "
                          "(see `repro bombs`)")
-    known = all_tool_names() + ["rexx"]
+    known = all_tool_names()
     if args.tool not in known:
         raise SystemExit(f"profile: unknown tool {args.tool!r} "
                          f"(known: {', '.join(known)})")
@@ -359,7 +355,7 @@ def cmd_explain(args) -> int:
     except KeyError:
         raise SystemExit(f"explain: unknown bomb {args.bomb!r} "
                          "(see `repro bombs`)")
-    known = all_tool_names() + ["rexx"]
+    known = all_tool_names()
     if args.tool not in known:
         raise SystemExit(f"explain: unknown tool {args.tool!r} "
                          f"(known: {', '.join(known)})")

@@ -14,7 +14,7 @@ from .. import obs
 from ..obs.provenance import CoreMember
 from ..binfmt import Image
 from ..errors import DiagnosticKind, DiagnosticLog, SolverError
-from ..smt import IncrementalSolver, Solver
+from ..smt import IncrementalSolver
 from ..smt.solver import unsat_core
 from ..trace.record import Trace
 from ..trace.tracer import record_trace
@@ -130,10 +130,9 @@ class ConcolicEngine:
         # One shared incremental solver per replay: the path prefix is
         # encoded once and every negation is an assumption query against
         # it, instead of re-bit-blasting the whole prefix per negation.
-        shared = (IncrementalSolver(policy.solver_conflicts,
-                                    policy.solver_clauses,
-                                    policy.solver_nodes)
-                  if policy.incremental_solver else None)
+        shared = IncrementalSolver(policy.solver_conflicts,
+                                   policy.solver_clauses,
+                                   policy.solver_nodes)
         for i, target in enumerate(constraints):
             if report.queries >= policy.max_queries:
                 return
@@ -157,18 +156,8 @@ class ConcolicEngine:
                             + negation.size())
                 try:
                     with obs.span("solve", pc=target.pc, tool=policy.name):
-                        if shared is not None:
-                            outcome = shared.check(
-                                negation, tag=(target.pc, "negation"))
-                        else:
-                            solver = Solver(policy.solver_conflicts,
-                                            policy.solver_clauses,
-                                            policy.solver_nodes)
-                            for prior in constraints[:i]:
-                                solver.add(prior.expr, (prior.pc, prior.kind))
-                            solver.add(negation, (target.pc, "negation"))
-                            outcome = solver.check(
-                                tag=(target.pc, "negation"))
+                        outcome = shared.check(
+                            negation, tag=(target.pc, "negation"))
                 except SolverError as err:
                     if "fp theory" in str(err) or "divisor" in str(err):
                         report.diagnostics.emit(
@@ -188,10 +177,9 @@ class ConcolicEngine:
                     if candidate is not None and tuple(candidate) not in tried:
                         obs.count("concolic.testcases_enqueued")
                         queue.append(candidate)
-            if shared is not None:
-                # The constraint joins the shared prefix for all later
-                # negations on this path.
-                shared.assert_expr(target.expr, (target.pc, target.kind))
+            # The constraint joins the shared prefix for all later
+            # negations on this path.
+            shared.assert_expr(target.expr, (target.pc, target.kind))
 
     def _explain_unsat(self, replay: ReplayResult, prefix, target,
                        negation) -> None:

@@ -44,15 +44,6 @@ class ToolPolicy:
     #: schedulable test case (BAP IL models the fault edge).
     div_guard: bool = False
 
-    #: Memory accesses at tainted addresses modeled symbolically
-    #: (neither trace tool has this; both concretize to the trace's
-    #: address, the symbolic-array failure).
-    symbolic_addressing: bool = False
-
-    #: Indirect jumps with tainted targets modeled as multi-way
-    #: branches (neither trace tool).
-    symbolic_jump: bool = False
-
     #: Taint tracked through stores into library-private data objects
     #: (BAP's taint tool does not instrument library state; Triton's
     #: does).
@@ -68,13 +59,6 @@ class ToolPolicy:
     #: 8-byte word per argument (BAP; reads past the seed's terminator
     #: break propagation).
     argv_model: str = "per-byte"
-
-    #: Branch-negation queries share one incremental solver per replay
-    #: (assumption-based queries over a path prefix encoded once).  Off
-    #: means the historical fresh-``Solver``-per-negation behavior; the
-    #: two modes produce identical Table II outcomes, incremental just
-    #: re-encodes far fewer Tseitin gates.
-    incremental_solver: bool = True
 
     # -- budgets (the paper's 10-minute timeout analogue) ---------------
     rounds: int = 16

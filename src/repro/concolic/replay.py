@@ -226,12 +226,11 @@ def _rp_load(stmt, pc, instr):
         addr_conc, addr_sym = get_addr(rep, th, tmps)
         if addr_sym is not None:
             box[1] = True
-            if not rep.policy.symbolic_addressing:
-                rep.diags.emit(
-                    DiagnosticKind.MEM_ADDR_CONCRETIZED,
-                    "load address depends on input; concretized to trace value",
-                    pc,
-                )
+            rep.diags.emit(
+                DiagnosticKind.MEM_ADDR_CONCRETIZED,
+                "load address depends on input; concretized to trace value",
+                pc,
+            )
         conc, sym = rep._mem_load(th, addr_conc, width, signed, tid)
         if sym is not None:
             box[1] = True
@@ -248,12 +247,11 @@ def _rp_store(stmt, pc, instr):
         addr_conc, addr_sym = get_addr(rep, th, tmps)
         if addr_sym is not None:
             box[1] = True
-            if not rep.policy.symbolic_addressing:
-                rep.diags.emit(
-                    DiagnosticKind.MEM_ADDR_CONCRETIZED,
-                    "store address depends on input; concretized to trace value",
-                    pc,
-                )
+            rep.diags.emit(
+                DiagnosticKind.MEM_ADDR_CONCRETIZED,
+                "store address depends on input; concretized to trace value",
+                pc,
+            )
         conc, sym = get_val(rep, th, tmps)
         if sym is not None:
             box[1] = True
@@ -302,12 +300,11 @@ def _rp_jump(stmt, pc, instr):
         conc, sym = get(rep, th, tmps)
         if sym is not None:
             box[1] = True
-            if not rep.policy.symbolic_jump:
-                rep.diags.emit(
-                    DiagnosticKind.SYMBOLIC_JUMP_UNMODELED,
-                    "indirect jump target depends on input",
-                    pc,
-                )
+            rep.diags.emit(
+                DiagnosticKind.SYMBOLIC_JUMP_UNMODELED,
+                "indirect jump target depends on input",
+                pc,
+            )
         box[0] = conc
         return False
     return h
@@ -321,12 +318,11 @@ def _rp_call(stmt, pc, instr):
         conc, sym = get(rep, th, tmps)
         if sym is not None:
             box[1] = True
-            if not rep.policy.symbolic_jump:
-                rep.diags.emit(
-                    DiagnosticKind.SYMBOLIC_JUMP_UNMODELED,
-                    "indirect call target depends on input",
-                    pc,
-                )
+            rep.diags.emit(
+                DiagnosticKind.SYMBOLIC_JUMP_UNMODELED,
+                "indirect call target depends on input",
+                pc,
+            )
         sp = u64(th.ctx.regs[15] - 8)
         th.ctx.regs[15] = sp
         rep.memory.write_u64(sp, return_addr)

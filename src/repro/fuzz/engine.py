@@ -49,12 +49,6 @@ class FuzzConfig:
     max_steps: int = 120_000  # per execution
     total_steps: int = 8_000_000  # campaign-wide
     dry_limit: int = 200  # havoc executions with no new coverage
-    persist: bool = True
-
-    def fingerprint_payload(self) -> dict:
-        payload = asdict(self)
-        payload.pop("persist")  # operational, not semantic
-        return payload
 
 
 @dataclass
@@ -89,7 +83,7 @@ class CoverageFuzzer:
 
     def _campaign_key(self, seeds: tuple[bytes, ...]) -> str:
         image_digest = hashlib.sha256(self.image.to_bytes()).hexdigest()
-        payload = self.config.fingerprint_payload()
+        payload = asdict(self.config)
         payload["argv0"] = self.argv0.decode("latin1")
         payload["fixed_tail"] = [arg.decode("latin1") for arg in self.fixed_tail]
         payload["seeds"] = [arg.decode("latin1") for arg in seeds]
@@ -114,32 +108,30 @@ class CoverageFuzzer:
         """Run one campaign (restoring a persisted identical one)."""
         seeds = tuple(seeds)
         key = self._campaign_key(seeds)
-        if self.config.persist:
-            payload = corpus_mod.load_campaign(key)
-            if payload is not None:
-                obs.count("fuzz.campaign_restores")
-                trigger = payload["trigger_input"]
-                return CampaignResult(
-                    triggered=payload["triggered"],
-                    executions=payload["executions"],
-                    trigger_input=None if trigger is None
-                    else trigger.encode("latin1"),
-                    corpus=Corpus.from_payload(payload["corpus"]),
-                    steps=payload["steps"],
-                    restored=True,
-                )
+        payload = corpus_mod.load_campaign(key)
+        if payload is not None:
+            obs.count("fuzz.campaign_restores")
+            trigger = payload["trigger_input"]
+            return CampaignResult(
+                triggered=payload["triggered"],
+                executions=payload["executions"],
+                trigger_input=None if trigger is None
+                else trigger.encode("latin1"),
+                corpus=Corpus.from_payload(payload["corpus"]),
+                steps=payload["steps"],
+                restored=True,
+            )
         with obs.span("fuzz"):
             result = self._campaign(seeds)
-        if self.config.persist:
-            trigger = result.trigger_input
-            corpus_mod.persist_campaign(key, {
-                "triggered": result.triggered,
-                "executions": result.executions,
-                "trigger_input": None if trigger is None
-                else trigger.decode("latin1"),
-                "corpus": result.corpus.to_payload(),
-                "steps": result.steps,
-            })
+        trigger = result.trigger_input
+        corpus_mod.persist_campaign(key, {
+            "triggered": result.triggered,
+            "executions": result.executions,
+            "trigger_input": None if trigger is None
+            else trigger.decode("latin1"),
+            "corpus": result.corpus.to_payload(),
+            "steps": result.steps,
+        })
         return result
 
     def _campaign(self, seeds: tuple[bytes, ...]) -> CampaignResult:

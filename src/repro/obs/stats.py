@@ -120,8 +120,3 @@ def render_stats(agg: Aggregate) -> str:
                 f"{h['p50']:>12.5f}{h['p95']:>12.5f}{h['max']:>12.5f}"
             )
     return "\n".join(lines)
-
-
-def render_stats_file(path) -> str:
-    """Convenience: read + aggregate + render one metrics file."""
-    return render_stats(aggregate_events(read_events(path)))

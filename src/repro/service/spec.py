@@ -179,7 +179,7 @@ def resolve_tools(entries: list[str]) -> list[str]:
     from ..tools.api import all_tool_names
 
     universe = list(TOOL_COLUMNS)
-    for name in list(all_tool_names()) + ["rexx"]:
+    for name in all_tool_names():
         if name not in universe:
             universe.append(name)
     keywords = {"all": list(TOOL_COLUMNS)}

@@ -571,8 +571,3 @@ def eval_expr(expr: Expr, model: dict[str, int]) -> int:
         stack.pop()
         cache[nid] = _eval_node(node, [cache[id(a)] for a in node.args], model)
     return cache[id(expr)]
-
-
-def interned_count() -> int:
-    """Diagnostics: number of live interned nodes."""
-    return len(_INTERN)

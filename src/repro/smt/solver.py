@@ -21,7 +21,7 @@ from ..obs import profile, session
 from ..errors import SolverError
 from . import querylog
 from .bitblast import BitBlaster
-from .expr import Expr, eval_expr, mk_bool_and
+from .expr import Expr
 from .sat import SatSolver
 
 
@@ -67,12 +67,6 @@ class Solver:
         for expr in exprs:
             self.add(expr)
 
-    def clone(self) -> "Solver":
-        other = Solver(self.max_conflicts, self.max_clauses, self.max_nodes)
-        other.constraints = list(self.constraints)
-        other.tags = list(self.tags)
-        return other
-
     def tagged(self) -> list:
         """The asserted constraints as ``(tag, expr)`` pairs."""
         return list(zip(self.tags, self.constraints))
@@ -91,39 +85,11 @@ class Solver:
         constraint needs a theory the bit-blaster lacks (FP, symbolic
         divisors).
         """
-        self.queries += 1
-        if not session.current.times_queries:
-            return self._check(extra)
-        t0 = time.perf_counter()
-        status = "error"
-        try:
-            result = self._check(extra)
-            status = result.status
-            return result
-        finally:
-            wall = time.perf_counter() - t0
-            obs.count("smt.queries")
-            obs.count(f"smt.{status}")
-            obs.observe("smt.solve_s", wall)
-            stats = self._last_query_stats
-            profile.record_query(tag, wall, status,
-                                 conflicts=stats.get("conflicts", 0),
-                                 gates=stats.get("gates", 0),
-                                 learnt=stats.get("learnt", 0))
-            querylog.record_check(
-                self.tagged(), extra, tag, status, wall, stats,
-                solver="oneshot", budget=self._budget())
+        return _timed_check(self, list(extra or []), tag, "oneshot")
 
-    def _budget(self) -> dict:
-        """The effort caps that shape this solver's verdicts (part of a
-        recorded query's content address)."""
-        return {"max_conflicts": self.max_conflicts,
-                "max_clauses": self.max_clauses,
-                "max_nodes": self.max_nodes}
-
-    def _check(self, extra: list[Expr] | None = None) -> CheckResult:
+    def _check(self, extra: list[Expr]) -> CheckResult:
         self._last_query_stats = {}
-        todo = self.constraints + list(extra or [])
+        todo = self.constraints + extra
         # Fast constant paths.
         pending = []
         for expr in todo:
@@ -154,31 +120,10 @@ class Solver:
                 raise SolverError("formula too deep to encode") from None
             model = sat.solve()
         finally:
-            self._last_query_stats = report_sat_stats(sat, blaster)
+            self._last_query_stats = report_sat_stats(sat, blaster, {})
         if model is None:
             return CheckResult("unsat")
         return CheckResult("sat", blaster.extract_model(model))
-
-    def check_with_cache(self, extra: list[Expr], cached_model: dict[str, int] | None
-                         ) -> CheckResult:
-        """Like :meth:`check`, but first test *cached_model* by evaluation.
-
-        Concolic engines keep the concrete input of the current round
-        around; if it already satisfies the new constraint set, no SAT
-        query is needed — the standard "concretization cache" trick.
-        """
-        if cached_model is not None:
-            todo = self.constraints + list(extra)
-            try:
-                if all(eval_expr(e, cached_model) for e in todo):
-                    return CheckResult("sat", dict(cached_model))
-            except SolverError:
-                pass
-        return self.check(extra)
-
-    def conjunction(self, extra: list[Expr] | None = None) -> Expr:
-        """The asserted constraints as a single boolean expression."""
-        return mk_bool_and(*(self.constraints + list(extra or [])))
 
 
 class IncrementalSolver:
@@ -198,8 +143,8 @@ class IncrementalSolver:
 
     Budget/staging semantics deliberately mirror :class:`Solver.check`
     query for query (constant short-circuits, interval presolve, the
-    ``max_nodes`` guard, sticky encode errors), so driving the concolic
-    engine with either solver yields the same outcomes.
+    ``max_nodes`` guard, sticky encode errors), so both solvers give the
+    same verdict on the same query.
     """
 
     def __init__(self, max_conflicts: int = 100_000, max_clauses: int = 1_500_000,
@@ -224,13 +169,9 @@ class IncrementalSolver:
         #: divisor, depth): re-raised verbatim on every later query,
         #: matching the one-shot solver re-hitting it per query.
         self._encode_error: str | None = None
-        # Stat snapshots so the observability counters report per-query
-        # deltas even though the underlying instance accumulates.
-        self._last_conflicts = 0
-        self._last_decisions = 0
-        self._last_restarts = 0
-        self._last_gates = 0
-        self._last_learnt = 0
+        # The instance's SAT counters at the last flush, so each query
+        # reports its own delta although the instance accumulates.
+        self._sat_seen: dict[str, int] = {}
         self._last_query_stats: dict[str, int] = {}
 
     # -- prefix ------------------------------------------------------------
@@ -271,31 +212,7 @@ class IncrementalSolver:
         """
         if isinstance(extra, Expr):
             extra = [extra]
-        self.queries += 1
-        if not session.current.times_queries:
-            return self._check(list(extra or []))
-        t0 = time.perf_counter()
-        status = "error"
-        try:
-            result = self._check(list(extra or []))
-            status = result.status
-            return result
-        finally:
-            wall = time.perf_counter() - t0
-            obs.count("smt.queries")
-            obs.count(f"smt.{status}")
-            obs.observe("smt.solve_s", wall)
-            stats = self._last_query_stats
-            profile.record_query(tag, wall, status,
-                                 conflicts=stats.get("conflicts", 0),
-                                 gates=stats.get("gates", 0),
-                                 learnt=stats.get("learnt", 0))
-            querylog.record_check(
-                self.tagged(), list(extra or []), tag, status, wall, stats,
-                solver="incremental",
-                budget={"max_conflicts": self.max_conflicts,
-                        "max_clauses": self.max_clauses,
-                        "max_nodes": self.max_nodes})
+        return _timed_check(self, list(extra or []), tag, "incremental")
 
     def _check(self, extra: list[Expr]) -> CheckResult:
         self._last_query_stats = {}
@@ -345,7 +262,8 @@ class IncrementalSolver:
                 # its negation and are now satisfied).
                 sat.add_clause([activation ^ 1])
         finally:
-            self._last_query_stats = self._report_stats()
+            self._last_query_stats = report_sat_stats(sat, blaster,
+                                                      self._sat_seen)
         if model is None:
             return CheckResult("unsat")
         return CheckResult("sat", blaster.extract_model(model))
@@ -373,62 +291,65 @@ class IncrementalSolver:
             self._encoded += 1
         return self._sat, self._blaster
 
-    def _report_stats(self) -> dict[str, int]:
-        sat, blaster = self._sat, self._blaster
-        stats = {
-            "conflicts": sat.conflicts - self._last_conflicts,
-            "decisions": sat.decisions - self._last_decisions,
-            "restarts": sat.restarts - self._last_restarts,
-            "gates": blaster.gates - self._last_gates,
-            "learnt": sat.learnt - self._last_learnt,
-        }
-        self._last_conflicts = sat.conflicts
-        self._last_decisions = sat.decisions
-        self._last_restarts = sat.restarts
-        self._last_gates = blaster.gates
-        self._last_learnt = sat.learnt
-        rec = session.current.recorder
-        if rec is None:
-            return stats
-        rec.count("smt.conflicts", stats["conflicts"])
-        rec.count("smt.decisions", stats["decisions"])
-        rec.count("smt.restarts", stats["restarts"])
-        rec.count("smt.learnt", stats["learnt"])
-        rec.observe("smt.clauses", len(sat.clauses))
-        rec.count("smt.gates", stats["gates"])
-        rec.observe("smt.gates_per_query", stats["gates"])
-        return stats
 
+def _timed_check(solver, extra: list[Expr], tag, kind: str) -> CheckResult:
+    """``solver._check(extra)`` for :meth:`Solver.check` and
+    :meth:`IncrementalSolver.check`.
 
-def report_sat_stats(sat: SatSolver,
-                     blaster: BitBlaster | None = None) -> dict[str, int]:
-    """Flush one SAT instance's search statistics to the recorder.
-
-    Called after every query from :meth:`Solver.check` and from engines
-    that drive a :class:`SatSolver` directly (model enumeration); the
-    counters accumulate across queries, so ``smt.conflicts`` is the
-    total CDCL conflict work of a whole run.  Returns the stats so the
-    caller can attach them to per-query telemetry.
+    When the session times queries, the query's wall time and outcome
+    go to the ``smt.*`` metrics, the attribution profiler (under *tag*)
+    and the query log (as a *kind* solver under its budget).
     """
-    stats = {
-        "conflicts": sat.conflicts,
-        "decisions": sat.decisions,
-        "restarts": sat.restarts,
-        "learnt": sat.learnt,
-        "gates": blaster.gates if blaster is not None else 0,
-    }
+    solver.queries += 1
+    if not session.current.times_queries:
+        return solver._check(extra)
+    t0 = time.perf_counter()
+    status = "error"
+    try:
+        result = solver._check(extra)
+        status = result.status
+        return result
+    finally:
+        wall = time.perf_counter() - t0
+        obs.count("smt.queries")
+        obs.count(f"smt.{status}")
+        obs.observe("smt.solve_s", wall)
+        stats = solver._last_query_stats
+        profile.record_query(tag, wall, status,
+                             conflicts=stats.get("conflicts", 0),
+                             gates=stats.get("gates", 0),
+                             learnt=stats.get("learnt", 0))
+        querylog.record_check(
+            solver.tagged(), extra, tag, status, wall, stats, solver=kind,
+            budget={"max_conflicts": solver.max_conflicts,
+                    "max_clauses": solver.max_clauses,
+                    "max_nodes": solver.max_nodes})
+
+
+def report_sat_stats(sat: SatSolver, blaster: BitBlaster,
+                     seen: dict[str, int]) -> dict[str, int]:
+    """Flush one query's SAT search statistics to the recorder.
+
+    *seen* holds the instance's lifetime counters as of its previous
+    flush (empty for a fresh instance) and is advanced to the current
+    ones, so an instance reused across queries reports only what each
+    query added.  The recorder's counters accumulate, so
+    ``smt.conflicts`` is the total CDCL conflict work of a whole run.
+    Returns the per-query delta for the caller's query telemetry.
+    """
+    now = {"conflicts": sat.conflicts, "decisions": sat.decisions,
+           "restarts": sat.restarts, "learnt": sat.learnt,
+           "gates": blaster.gates}
+    delta = {key: value - seen.get(key, 0) for key, value in now.items()}
+    seen.update(now)
     rec = session.current.recorder
-    if rec is None:
-        return stats
-    rec.count("smt.conflicts", sat.conflicts)
-    rec.count("smt.decisions", sat.decisions)
-    rec.count("smt.restarts", sat.restarts)
-    rec.count("smt.learnt", sat.learnt)
-    rec.observe("smt.clauses", len(sat.clauses))
-    if blaster is not None:
-        rec.count("smt.gates", blaster.gates)
-        rec.observe("smt.gates_per_query", blaster.gates)
-    return stats
+    if rec is not None:
+        for key in ("conflicts", "decisions", "restarts", "learnt"):
+            rec.count(f"smt.{key}", delta[key])
+        rec.observe("smt.clauses", len(sat.clauses))
+        rec.count("smt.gates", delta["gates"])
+        rec.observe("smt.gates_per_query", delta["gates"])
+    return delta
 
 
 def solve(constraints: list[Expr], max_conflicts: int = 100_000,

@@ -1,6 +1,6 @@
 """Execution-cache support for the symbolic explorer.
 
-Three pieces, all serving the same goal — stop re-deriving work the
+Two pieces, both serving the same goal — stop re-deriving work the
 engine has already done once:
 
 * :func:`compile_stmts` turns a straight-line IL statement list into a
@@ -17,17 +17,11 @@ engine has already done once:
   querying state's constraints.  DFS siblings share encodings, learnt
   clauses and variable activity; budget staging mirrors
   :meth:`repro.smt.Solver.check` query for query.
-
-* :func:`merge_states` ite-merges two states that rejoined at a
-  post-dominator with identical call stacks (behind
-  ``SymexPolicy.merge_states``), collapsing the symbolic-array bombs'
-  path blow-up.
 """
 
 from __future__ import annotations
 
 from .. import obs
-from ..obs import session
 from ..errors import SolverError
 from ..ir import il
 from ..ir.lifter import apply_binop, apply_fp_op
@@ -36,19 +30,11 @@ from ..smt import (
     Expr,
     SatSolver,
     eval_expr,
-    mk_bool_and,
-    mk_bool_or,
     mk_const,
-    mk_ite,
 )
-from ..smt.solver import CheckResult
-from .state import SymState
+from ..smt.solver import CheckResult, report_sat_stats
 
 MASK64 = (1 << 64) - 1
-
-#: Differing memory bytes beyond which a merge is not worth the ite
-#: tower it would build.
-MERGE_MEM_LIMIT = 256
 
 
 # -- compiled statement handlers -------------------------------------------
@@ -271,8 +257,8 @@ class PathSolver:
         self._enum_sat: SatSolver | None = None
         self._enum_blaster: BitBlaster | None = None
         self._enum_asserted: list[Expr] = []
-        self._last_stats = dict.fromkeys(
-            ("conflicts", "decisions", "restarts", "learnt", "gates"), 0)
+        #: The instance's SAT counters at its last stats flush.
+        self._enum_seen: dict[str, int] = {}
 
     def _vars_of(self, expr: Expr) -> frozenset:
         key = id(expr)
@@ -345,31 +331,13 @@ class PathSolver:
             self._enum_sat = sat
             self._enum_blaster = BitBlaster(sat)
             self._enum_asserted = asserted = []
-            self._last_stats = dict.fromkeys(self._last_stats, 0)
+            self._enum_seen = {}
             obs.count("cache.enum_rebuilds")
         blaster = self._enum_blaster
         for c in constraints[len(asserted):]:
             blaster.assert_true(c)
             asserted.append(c)
         return sat, blaster
-
-    def _report_stats(self) -> None:
-        """Delta version of :func:`repro.smt.solver.report_sat_stats`:
-        the shared instance's lifetime counters only flush what this
-        query added."""
-        sat, blaster = self._enum_sat, self._enum_blaster
-        now = {"conflicts": sat.conflicts, "decisions": sat.decisions,
-               "restarts": sat.restarts, "learnt": sat.learnt,
-               "gates": blaster.gates}
-        last, self._last_stats = self._last_stats, now
-        rec = session.current.recorder
-        if rec is None:
-            return
-        for key in ("conflicts", "decisions", "restarts", "learnt"):
-            rec.count(f"smt.{key}", now[key] - last[key])
-        rec.observe("smt.clauses", len(sat.clauses))
-        rec.count("smt.gates", now["gates"] - last["gates"])
-        rec.observe("smt.gates_per_query", now["gates"] - last["gates"])
 
     def enumerate_values(self, constraints: list[Expr], addr: Expr,
                          limit: int, model: dict | None = None) -> list[int] | None:
@@ -426,7 +394,7 @@ class PathSolver:
         finally:
             if query_act is not None:
                 sat.add_clause([query_act ^ 1])
-            self._report_stats()
+            report_sat_stats(sat, blaster, self._enum_seen)
         self._enum_memo[key] = values
         self._enum_refs.append((tuple(sliced), addr))
         return None if values is None else list(values)
@@ -440,78 +408,3 @@ class PathSolver:
 
 
 _MISS = object()
-
-
-# -- post-dominator state merging ------------------------------------------
-
-def _mergeable(a: SymState, b: SymState) -> bool:
-    return (a.pc == b.pc
-            and a.callstack == b.callstack
-            and a.alive and b.alive
-            and not a.goal and not b.goal
-            and a.flags == b.flags
-            and not a.fds and not b.fds
-            and not a.files and not b.files
-            and not a.mailbox and not b.mailbox
-            and a.next_fd == b.next_fd
-            and a.heap_next == b.heap_next
-            and a.env_escaped == b.env_escaped
-            and a.fp_dropped == b.fp_dropped
-            and a.sig_handler == b.sig_handler
-            and a.fp_constraints == b.fp_constraints)
-
-
-def merge_states(a: SymState, b: SymState) -> SymState | None:
-    """ite-merge *b* into *a* at a post-dominator rejoin, or ``None``.
-
-    Both states must sit at the same pc with identical call stacks and
-    compatible environments.  The merged state keeps the common
-    constraint prefix, replaces the two diverging suffixes with their
-    disjunction, and rewrites every differing register/memory byte as
-    ``ite(guard_a, value_a, value_b)`` — the classic veritesting move,
-    sound because the merged path condition is exactly the union of the
-    two merged paths.
-    """
-    if not _mergeable(a, b):
-        return None
-    shared = 0
-    limit = min(len(a.constraints), len(b.constraints))
-    while shared < limit and a.constraints[shared] is b.constraints[shared]:
-        shared += 1
-    suffix_a = a.constraints[shared:]
-    suffix_b = b.constraints[shared:]
-    guard_a = mk_bool_and(*suffix_a) if suffix_a else mk_const(1, 1)
-    guard_b = mk_bool_and(*suffix_b) if suffix_b else mk_const(1, 1)
-
-    # Bound the ite tower before building anything.
-    diff_mem = [addr for addr in set(a.mem) | set(b.mem)
-                if a.mem.get(addr) is not b.mem.get(addr)]
-    if len(diff_mem) > MERGE_MEM_LIMIT:
-        return None
-
-    merged = a.fork()
-    merged.pc = a.pc
-    merged.constraints = a.constraints[:shared]
-    if suffix_a and suffix_b:
-        merged.add_constraint(mk_bool_or(guard_a, guard_b))
-    for i in range(16):
-        if a.regs[i] is not b.regs[i]:
-            merged.regs[i] = mk_ite(guard_a, a.regs[i], b.regs[i])
-    for i in range(8):
-        if a.fregs[i] is not b.fregs[i]:
-            merged.fregs[i] = mk_ite(guard_a, a.fregs[i], b.fregs[i])
-    for addr in diff_mem:
-        val_a = a.mem.get(addr)
-        if val_a is None:
-            val_a = mk_const(a._image_byte(addr), 8)
-        val_b = b.mem.get(addr)
-        if val_b is None:
-            val_b = mk_const(b._image_byte(addr), 8)
-        merged.mem[addr] = mk_ite(guard_a, val_a, val_b)
-    merged.read_marks = {**b.read_marks, **a.read_marks}
-    merged.resolutions = max(a.resolutions, b.resolutions)
-    merged.steps = max(a.steps, b.steps)
-    # a's cached model satisfies the common prefix and guard_a, hence
-    # the disjunction: still a valid model of the merged state.
-    merged.model = dict(a.model)
-    return merged

@@ -32,7 +32,7 @@ from ..smt import (
     mk_var,
 )
 from ..vm.machine import STACK_TOP
-from .cache import PathSolver, compile_stmts, merge_states
+from .cache import PathSolver, compile_stmts
 from .policy import SymexPolicy
 from .simprocedures import SIMPROCEDURES
 from .state import SymState
@@ -87,7 +87,6 @@ class AngrEngine:
         self._solver = PathSolver(policy)
         self._sb_hits = 0
         self._sb_misses = 0
-        self._merges = 0
         # Per-PC symbolic step tally; exists only while an attribution
         # profiler is installed so the step loop pays one None check.
         self._prof_pcs: dict[int, int] | None = \
@@ -112,12 +111,11 @@ class AngrEngine:
         self.opaque_concretized = False
         if not policy.with_libs:
             table = SIMPROCEDURES
-            table_name = getattr(policy, "simproc_table", "default")
-            if table_name == "rexx":
+            if policy.simproc_table == "rexx":
                 from .rexx_procs import REXX_SIMPROCEDURES
 
                 table = REXX_SIMPROCEDURES
-            elif table_name == "sandshrew":
+            elif policy.simproc_table == "sandshrew":
                 from .sandshrew_procs import SANDSHREW_SIMPROCEDURES, OpaqueRunner
 
                 table = SANDSHREW_SIMPROCEDURES
@@ -145,8 +143,6 @@ class AngrEngine:
         fresh = self._cache.fresh_lifts - lifts_before
         if fresh:
             obs.count("lift.instructions", fresh)
-        if self._merges:
-            obs.count("symex.merges", self._merges)
         superblock.persist(self._cache)
         return report
 
@@ -166,7 +162,6 @@ class AngrEngine:
         worklist: deque[SymState] = deque([initial])
         total_steps = 0
         states_seen = 1
-        merging = self.policy.merge_states
         try:
             while worklist:
                 if _time.monotonic() > deadline:
@@ -204,9 +199,7 @@ class AngrEngine:
                         report.queries = self.queries
                         return report
                 if state.alive:
-                    if merging and self._try_merge(worklist, state):
-                        pass  # absorbed into a waiting sibling
-                    elif forks:
+                    if forks:
                         worklist.insert(0, state)
                     else:
                         worklist.append(state)
@@ -225,19 +218,6 @@ class AngrEngine:
         report.steps = total_steps
         report.queries = self.queries
         return report
-
-    def _try_merge(self, worklist, state: SymState) -> bool:
-        """ite-merge *state* into a waiting sibling at the same rejoin
-        point (same pc, same call stack); True when absorbed."""
-        for i, other in enumerate(worklist):
-            if other.pc != state.pc or other.callstack != state.callstack:
-                continue
-            merged = merge_states(other, state)
-            if merged is not None:
-                worklist[i] = merged
-                self._merges += 1
-                return True
-        return False
 
     # -- setup -------------------------------------------------------------
 

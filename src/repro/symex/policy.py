@@ -61,10 +61,6 @@ class SymexPolicy:
     model_signals: bool = False
     #: Never claim a solution whose constraints contain invented values.
     honest_claims: bool = False
-    #: ite-merge states that rejoin at a post-dominator with identical
-    #: call stacks (veritesting-style), collapsing the array bombs'
-    #: path blow-up.  Part of the fingerprint like every capability.
-    merge_states: bool = False
     #: Which simprocedure catalogue to hook with ("default" | "rexx" |
     #: "sandshrew" — the latter runs opaque ``.lib`` externals concretely
     #: in the VM on the current model and re-injects the result).

@@ -60,8 +60,7 @@ class Tool:
             self.policy = HYBRID_PROFILES[name]
         else:
             raise KeyError(
-                f"unknown tool {name!r}; known: "
-                f"{all_tool_names() + ['rexx']}"
+                f"unknown tool {name!r}; known: {all_tool_names()}"
             )
 
     def analyze_bomb(self, bomb: Bomb) -> ToolReport:
@@ -109,17 +108,21 @@ class Tool:
             aborted=raw.aborted,
         )
         if raw.claimed_inputs:
+            # Non-None only under ``env_symbolic``: the environment the
+            # claim requires, overlaid on the concrete replay.
+            claim_env = engine.claim_env
             with obs.span("replay", bomb=bomb.bomb_id, tool=self.name) as sp:
                 for claim in raw.claimed_inputs:
                     obs.count("replay.claims_checked")
-                    if bomb.triggers(claim):
+                    if bomb.triggers(claim, env=claim_env):
                         report.solved = True
                         report.solution = claim
+                        report.solution_env = claim_env
                         break
                 sp.set("validated", report.solved)
-        budget = getattr(self.policy, "concrete_fallback_budget", 0)
+        budget = self.policy.concrete_fallback_budget
         if (budget > 0 and not report.solved and not bomb.expected_unreachable
-                and getattr(engine, "opaque_concretized", False)):
+                and engine.opaque_concretized):
             self._concrete_fallback(bomb, report, budget)
         return report
 
@@ -169,10 +172,6 @@ class Tool:
 
 def get_tool(name: str) -> Tool:
     """Look up a tool by Table II column name (or ``rexx``)."""
-    if name == "rexx":
-        from .rexx import RexxTool
-
-        return RexxTool()
     return Tool(name)
 
 

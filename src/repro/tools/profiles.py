@@ -4,7 +4,8 @@ Each profile encodes the 2016/2017-era capability matrix of the real
 tool it models.  Sources for the switches: the paper's Section V.C
 analysis (Triton's missing FP lifting, BAP's primitive support, Angr's
 symbolic memory map and system-call simulation) and the tools' public
-documentation of that era.
+documentation of that era.  ``SYMEX_PROFILES`` also holds the REXX
+extension tool (:mod:`.rexx`), which is not a Table II column.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from ..concolic.policy import ToolPolicy
 from ..fuzz.hybrid import HybridPolicy
 from ..symex.policy import SymexPolicy
+from .rexx import REXX
 
 #: BAP 0.9-era: Pin tracer (follows threads + signals), OCaml lifter
 #: without FP coverage, push/pop modeled as pure SP arithmetic, explicit
@@ -73,5 +75,5 @@ HYBRIDX = HybridPolicy(name="hybridx")
 
 
 TRACE_PROFILES = {p.name: p for p in (BAPX, TRITONX)}
-SYMEX_PROFILES = {p.name: p for p in (ANGRX, ANGRX_NOLIB, SANDSHREWX)}
+SYMEX_PROFILES = {p.name: p for p in (ANGRX, ANGRX_NOLIB, SANDSHREWX, REXX)}
 HYBRID_PROFILES = {p.name: p for p in (HYBRIDX,)}

@@ -31,12 +31,7 @@ environment overlaid) before REXX reports success.
 
 from __future__ import annotations
 
-import time
-
-from ..bombs.suite import Bomb
-from ..symex import AngrEngine
 from ..symex.policy import SymexPolicy
-from .api import ToolReport
 
 #: The REXX configuration: no-lib hooking with the faithful catalogue
 #: and every extension capability on, plus roomier budgets.
@@ -60,35 +55,3 @@ REXX = SymexPolicy(
     solver_conflicts=20_000,
     time_limit=150.0,
 )
-
-
-class RexxTool:
-    """Tool wrapper running the REXX configuration."""
-
-    name = "rexx"
-    family = "symex"
-    policy = REXX
-
-    def analyze_bomb(self, bomb: Bomb) -> ToolReport:
-        start = time.monotonic()
-        engine = AngrEngine(bomb.image, self.policy)
-        raw = engine.explore(bomb.seed_argv, argv0=bomb.bomb_id.encode())
-        report = ToolReport(
-            tool=self.name,
-            bomb_id=bomb.bomb_id,
-            goal_claimed=raw.goal_claimed,
-            claimed_inputs=raw.claimed_inputs,
-            diagnostics=raw.diagnostics,
-            aborted=raw.aborted,
-        )
-        claim_env = engine.claim_env
-        for claim in raw.claimed_inputs:
-            if bomb.triggers(claim, env=claim_env):
-                report.solved = True
-                report.solution = claim
-                report.solution_env = claim_env
-                break
-        report.elapsed = time.monotonic() - start
-        if bomb.expected_unreachable and report.goal_claimed and not report.solved:
-            report.false_positive = True
-        return report

@@ -40,9 +40,6 @@ class FileSystem:
             return 0
         return -1
 
-    def read_all(self, path: str) -> bytes:
-        return bytes(self.files.get(path, b""))
-
 
 @dataclass
 class FileHandle:

@@ -8,8 +8,6 @@ optimization the study does not need; bombs touch a few dozen pages).
 
 from __future__ import annotations
 
-import struct
-
 PAGE_SIZE = 0x1000
 PAGE_MASK = PAGE_SIZE - 1
 MASK64 = (1 << 64) - 1
@@ -68,9 +66,6 @@ class Memory:
     def write_u64(self, addr: int, value: int) -> None:
         self.write_uint(addr, value, 8)
 
-    def read_f64(self, addr: int) -> float:
-        return struct.unpack("<d", self.read(addr, 8))[0]
-
     # -- strings -----------------------------------------------------------
 
     def read_cstr(self, addr: int, limit: int = 4096) -> bytes:
@@ -93,7 +88,3 @@ class Memory:
         other = Memory()
         other._pages = {no: bytearray(page) for no, page in self._pages.items()}
         return other
-
-    @property
-    def touched_pages(self) -> int:
-        return len(self._pages)

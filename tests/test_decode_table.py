@@ -53,7 +53,7 @@ def decoded_pcs(monkeypatch):
 class TestDecodeOncePerProcess:
     def test_fuzz_campaign_decodes_each_pc_once(self, decoded_pcs):
         image = _fresh("sv_time")
-        fuzzer = CoverageFuzzer(image, FuzzConfig(persist=False, budget=40),
+        fuzzer = CoverageFuzzer(image, FuzzConfig(budget=40),
                                 get_bomb("sv_time").base_env(), argv0=b"sv_time")
         rec = obs.Recorder()
         with obs.recording(rec):

@@ -132,7 +132,7 @@ class TestMutator:
 class TestCoverageFuzzer:
     def _fuzzer(self, bomb_id, **overrides):
         bomb = get_bomb(bomb_id)
-        config = FuzzConfig(persist=False, **overrides)
+        config = FuzzConfig(**overrides)
         return bomb, CoverageFuzzer(
             bomb.image, config, bomb.base_env(), argv0=bomb_id.encode(),
             fixed_tail=tuple(bomb.seed_argv[1:]),

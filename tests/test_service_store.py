@@ -17,6 +17,7 @@ from repro import obs
 from repro.bombs import get_bomb
 from repro.bombs.suite import Bomb
 from repro.eval import run_cell
+from repro.fuzz import CoverageFuzzer, FuzzConfig, HybridPolicy
 from repro.lang import compile_sources
 from repro.service import (
     CACHE_SCHEMA,
@@ -34,23 +35,29 @@ from repro.tools.profiles import TRITONX
 #: ``capability_fingerprint`` of every tool and ``cell_key`` of four
 #: cells, pinned byte for byte.
 GOLDEN_CAPABILITIES = {
-    "bapx": "a43ffbac82c629c781afefc86a9d48843fd06fcabd364b1a4271d03004e904bc",
-    "tritonx": "efc0c13477c10f2f9cac34238a360d7cb789d68dbe5a254346a7f8d7510c606b",
-    "angrx": "e72ca15ebd3d2a53648869a74d3cd62f5d3eee5327369dc25d0d73f61bcd2cdb",
-    "angrx_nolib": "47cc9615b049e810d501d60f988b5f457a0f160cb9bdbf3ad4559adff3642f54",
-    "sandshrewx": "258e68a3b87a665c339918ce56af94ba3252f913603ea7b8dbbf6605c455de96",
-    "hybridx": "4ec095dc84d7279a9f8d3f0b04937f98f0fe3babbf716106f578728809076c83",
-    "rexx": "1ab44ee2f196a9ed4a55c749127501b9d475b87a8ebc3283571396ec9a5d9222",
+    "bapx": "4e23a07226a3fcd145b0e5b4a30f0fea1d85c3d4e5c4c35839eef18223884625",
+    "tritonx": "6bd1f905552fd3058b199466a42b6fc6f1da41568f84cb05817b5e321e39deca",
+    "angrx": "6f0660d1565508b3a4a724ebef74f701e35517e690fffedbf9fc160df5a010bf",
+    "angrx_nolib": "c4d52fe698d616515122c6822dec63ec82bfaedb138beab882b03044f1b55395",
+    "sandshrewx": "ead97f37cc9e2371cc92926f55158cedbd805cd224dd803323c9fdcde885118a",
+    "hybridx": "4862a37194f1d1770abfd36df3931a3f7c72450115c5b932c0c2fb964c825bf8",
+    "rexx": "b2efc53a9eaa715398b28876fbff6c467d4123c395232aa1f822876fa47ba94e",
 }
 GOLDEN_CELL_KEYS = {
     ("cp_stack", "tritonx"):
-        "cb0cb36df95cab3e4965987aa84fcbf96f9b053e3d293ddb30f569b1fbf99eaf",
+        "723fd173898d1c3c417ed345016418bb56f018cdd81405b83841cd8ecd703524",
     ("sv_time", "hybridx"):
-        "6ffd2b4c79e8c32b7da39e0e38b94d26a59436f83db8a1cbd2c675e0dec7b555",
+        "0de38be728cc6765f2db5023759752f1946048052d52f3193a48b6dc52855000",
     ("cf_sha1", "sandshrewx"):
-        "60ca740d9894cdf6360f5534ae799f5e2e2e1b53477c12e33b0a46270054fd31",
+        "208dc2483e229b58d3a6ffa51ae2b538ce1b145dabb9e3e7423dbc3465df2ee2",
     ("sa_l1_array", "angrx_nolib"):
-        "ad8e86f30663d6bccbf7cee99bbbf10224bb5b930781b6fa7cf54f502aeb82a8",
+        "02195e0ebf535aa904645b85082672f303aebb5d6e4a3759c6db5fd9975e7f5d",
+}
+#: Corpus keys of an ``sv_time`` campaign seeded with ``1``, under the
+#: default ``FuzzConfig`` and under ``HybridPolicy().fuzz_config()``.
+GOLDEN_CAMPAIGN_KEYS = {
+    "default": "5f7191b5ad125671d164529b83e04c8e30e237e94cc7a5f2b2dace6950b345b1",
+    "hybrid": "900e332f5dc6b51744716968ac7e224b3f94ab1566c5c94af9f641adda364d34",
 }
 
 
@@ -123,6 +130,18 @@ class TestCellKeys:
                 for t in GOLDEN_CAPABILITIES} == GOLDEN_CAPABILITIES
         assert {(b, t): cell_key(get_bomb(b), t)
                 for b, t in GOLDEN_CELL_KEYS} == GOLDEN_CELL_KEYS
+
+    def test_golden_campaign_keys(self):
+        bomb = get_bomb("sv_time")
+        configs = {"default": FuzzConfig(),
+                   "hybrid": HybridPolicy().fuzz_config()}
+        keys = {}
+        for name, config in configs.items():
+            fuzzer = CoverageFuzzer(bomb.image, config, bomb.base_env(),
+                                    argv0=b"sv_time",
+                                    fixed_tail=bomb.seed_argv[1:])
+            keys[name] = fuzzer._campaign_key((b"1",))
+        assert keys == GOLDEN_CAMPAIGN_KEYS
 
 
 @pytest.fixture(scope="module")

@@ -33,20 +33,6 @@ class TestSolverFacade:
         assert not result.sat
         # No SAT machinery should have been needed for this.
 
-    def test_check_with_cache_skips_solving(self):
-        x = mk_var("sf_x", 8)
-        solver = Solver()
-        solver.add(mk_cmp("ult", x, mk_const(100, 8)))
-        cached = {"sf_x": 5}
-        result = solver.check_with_cache([mk_cmp("ult", x, mk_const(50, 8))], cached)
-        assert result.sat and result.model == cached
-
-    def test_check_with_cache_falls_back(self):
-        x = mk_var("sf_y", 8)
-        solver = Solver()
-        result = solver.check_with_cache([mk_eq(x, mk_const(9, 8))], {"sf_y": 5})
-        assert result.sat and result.model["sf_y"] == 9
-
     def test_node_budget(self):
         x = mk_var("sf_n", 64)
         node = x
@@ -56,22 +42,6 @@ class TestSolverFacade:
         solver.add(mk_eq(node, mk_const(1, 64)))
         with pytest.raises(SolverError, match="too large"):
             solver.check()
-
-    def test_clone_is_independent(self):
-        solver = Solver()
-        solver.add(mk_eq(mk_var("sf_c", 8), mk_const(1, 8)))
-        other = solver.clone()
-        other.add(mk_const(0, 1))
-        assert solver.check().sat
-        assert not other.check().sat
-
-    def test_conjunction(self):
-        x = mk_var("sf_j", 8)
-        solver = Solver()
-        solver.add(mk_cmp("ult", x, mk_const(5, 8)))
-        node = solver.conjunction([mk_cmp("ult", mk_const(1, 8), x)])
-        assert eval_expr(node, {"sf_j": 3}) == 1
-        assert eval_expr(node, {"sf_j": 7}) == 0
 
 
 class TestIntervalPresolve:

@@ -1,8 +1,6 @@
 """Tests for the shared execution cache: lifted IL, superblocks, SMC
 invalidation, store persistence, and the cache's invisibility in
-engine outcomes (cold vs warm, merging on vs off)."""
-
-import dataclasses
+engine outcomes (cold vs warm)."""
 
 import pytest
 
@@ -207,25 +205,6 @@ class TestColdWarmIdentity:
         warm = recorder2.snapshot()["counters"]
         assert warm.get("lift.instructions", 0) == 0
         assert warm.get("cache.superblock_misses", 0) == 0
-
-
-class TestStateMerging:
-    @pytest.mark.parametrize("bomb_id", ["sa_l1_array", "sa_l2_array"])
-    def test_merging_preserves_outcomes(self, bomb_id):
-        bomb = get_bomb(bomb_id)
-        plain = AngrEngine(bomb.image, _fast_policy()).explore(
-            bomb.seed_argv, argv0=b"x")
-        superblock.reset()
-        merged = AngrEngine(
-            bomb.image, _fast_policy(merge_states=True),
-        ).explore(bomb.seed_argv, argv0=b"x")
-        assert plain.claimed_inputs == merged.claimed_inputs
-        assert plain.goal_claimed == merged.goal_claimed
-
-    def test_merge_states_changes_fingerprint(self):
-        base = _fast_policy()
-        merged = dataclasses.replace(base, merge_states=True)
-        assert base.fingerprint() != merged.fingerprint()
 
 
 # -- enumeration front-end --------------------------------------------------

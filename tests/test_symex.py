@@ -181,6 +181,16 @@ class TestRexxCapabilities:
         assert env is not None and env.time_value % 7777 == 4321
         assert bomb.triggers(report.claimed_inputs[0], env=env)
 
+    def test_tool_validates_claims_under_the_claimed_env(self):
+        bomb = get_bomb("sv_time")
+        from repro.tools import get_tool
+
+        report = get_tool("rexx").analyze_bomb(bomb)
+        assert report.solved
+        assert report.solution_env is not None
+        assert not bomb.triggers(report.solution)
+        assert bomb.triggers(report.solution, env=report.solution_env)
+
     def test_honest_claims_reject_invented_values(self):
         bomb = get_bomb("neg_square")
         from repro.tools import get_tool

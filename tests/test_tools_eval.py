@@ -19,8 +19,8 @@ from repro.tools import all_tool_names, get_tool
 class TestToolApi:
     def test_known_tools(self):
         assert all_tool_names() == ["bapx", "tritonx", "angrx", "angrx_nolib",
-                                    "sandshrewx", "hybridx"]
-        for name in all_tool_names() + ["rexx"]:
+                                    "rexx", "sandshrewx", "hybridx"]
+        for name in all_tool_names():
             assert get_tool(name).name == name
 
     def test_unknown_tool(self):
