@@ -19,8 +19,10 @@ Symbol kinds: ``func`` (program code), ``object`` (data), ``lib``
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import LinkError
 from ..isa import MAX_INSTRUCTION_SIZE, Instruction, decode
@@ -80,9 +82,19 @@ class Image:
     #: filled by :meth:`decode_at` from the section bytes and shared by
     #: every machine process and symbolic explorer of this image object,
     #: so each pc is decoded once per interpreter process.  Only
-    #: :meth:`decode_at` inserts, and only code pcs; a machine process
-    #: that writes into its code range switches to a private copy.
+    #: :meth:`decode_at` inserts, and only code pcs.
     decoded: dict[int, Instruction] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    #: The concrete VM's compiled handlers for :attr:`decoded` entries,
+    #: pc -> handler (``handler.instr`` is the entry), shared by every
+    #: machine process of this image object until the process writes
+    #: into its code range and switches to a private copy.
+    handlers: dict[int, Callable] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    #: The loaded sections as the VM's page template, page number ->
+    #: immutable page bytes, built by the first machine and shared
+    #: copy-on-write by every machine memory of this image object.
+    pages: dict[int, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     # -- queries -------------------------------------------------------
@@ -221,3 +233,9 @@ class Image:
     def file_size(self) -> int:
         """Size in bytes of the serialized image (dataset statistic)."""
         return len(self.to_bytes())
+
+
+def image_digest(image: Image) -> str:
+    """SHA-256 of the serialized image: its content address, keying the
+    result store, the lift cache and fuzz campaigns."""
+    return hashlib.sha256(image.to_bytes()).hexdigest()

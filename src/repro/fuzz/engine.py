@@ -28,11 +28,10 @@ Observability: the campaign runs inside a ``fuzz`` span and reports
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass, field
 
 from .. import obs
-from ..binfmt import Image
+from ..binfmt import Image, image_digest
 from ..vm import Environment, Machine
 from . import corpus as corpus_mod
 from .corpus import Corpus, campaign_key, edge_slot
@@ -82,12 +81,11 @@ class CoverageFuzzer:
         self.fixed_tail = tuple(fixed_tail)
 
     def _campaign_key(self, seeds: tuple[bytes, ...]) -> str:
-        image_digest = hashlib.sha256(self.image.to_bytes()).hexdigest()
         payload = asdict(self.config)
         payload["argv0"] = self.argv0.decode("latin1")
         payload["fixed_tail"] = [arg.decode("latin1") for arg in self.fixed_tail]
         payload["seeds"] = [arg.decode("latin1") for arg in seeds]
-        return campaign_key(image_digest, payload)
+        return campaign_key(image_digest(self.image), payload)
 
     def execute(self, arg: bytes) -> tuple[bool, int, dict[int, int]]:
         """One monitored run: (triggered, steps, per-run edge counts)."""

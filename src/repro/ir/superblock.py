@@ -24,9 +24,8 @@ case — are rejected with two integer comparisons.
 
 from __future__ import annotations
 
-import hashlib
-
 from .. import obs
+from ..binfmt import image_digest
 from ..isa import Instruction
 from ..obs import session
 from . import il
@@ -352,11 +351,6 @@ def decode_stmt(data: list):
 # persist into is the session's (repro.obs.session), so a run scopes it.
 
 _CACHES: dict[str, LiftCache] = {}
-
-
-def image_digest(image) -> str:
-    """The image's content address (same definition the store uses)."""
-    return hashlib.sha256(image.to_bytes()).hexdigest()
 
 
 def cache_for(image) -> LiftCache:

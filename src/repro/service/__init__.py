@@ -26,6 +26,7 @@ Turns the one-shot Table II harness into a durable analysis service:
   never serve HTTP do not load :mod:`asyncio`; import it directly.
 """
 
+from ..binfmt import image_digest
 from .campaign import (
     CampaignReport,
     CampaignService,
@@ -41,7 +42,6 @@ from .fingerprint import (
     bomb_fingerprint,
     cell_key,
     harness_fingerprint,
-    image_digest,
 )
 from .fleet import (
     DEFAULT_BACKOFF,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from ..binfmt import image_digest
 from ..bombs.suite import Bomb
 from ..eval.classify import CONCRETIZATION_THRESHOLD
 from ..tools.api import capability_fingerprint
@@ -59,11 +60,6 @@ def environment_payload(env: Environment | None) -> dict | None:
                     for url, data in sorted(env.network.items())},
         "stdin": env.stdin.decode("latin1"),
     }
-
-
-def image_digest(image) -> str:
-    """Digest of the serialized REXF image — the bomb's content address."""
-    return hashlib.sha256(image.to_bytes()).hexdigest()
 
 
 def bomb_fingerprint(bomb: Bomb) -> str:

@@ -9,14 +9,11 @@ engine has already done once:
   dispatches ``handler(engine, state, tmps)`` instead of walking an
   ``isinstance`` chain per statement.
 
-* :class:`PathSolver` keeps one persistent SAT instance + bit-blaster
-  per engine.  Every distinct path constraint is Tseitin-encoded
-  exactly once behind its own activation literal (sound because
-  expressions are interned: ``id()`` is stable for the process
-  lifetime), and a query assumes the activation literals of the
-  querying state's constraints.  DFS siblings share encodings, learnt
-  clauses and variable activity; budget staging mirrors
-  :meth:`repro.smt.Solver.check` query for query.
+* :class:`PathSolver` is the engine's solver front-end.  A
+  satisfiability check builds a fresh :class:`repro.smt.Solver` per
+  query.  Symbolic-read enumeration is memoized by the constraint slice
+  relevant to the address and runs on one shared SAT instance that
+  follows the DFS path, re-blasting only the constraints a dive adds.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import VMError
 from ..isa import NUM_FPRS, NUM_GPRS
@@ -131,20 +132,7 @@ class Flags:
 
     def condition(self, name: str) -> bool:
         """Evaluate a branch condition (jz/jnz/jl/jle/jg/jge/jb/jbe/ja/jae)."""
-        zf, sf, cf, of = self.zf, self.sf, self.cf, self.of
-        table = {
-            "jz": zf,
-            "jnz": not zf,
-            "jl": sf != of,
-            "jle": zf or (sf != of),
-            "jg": not zf and (sf == of),
-            "jge": sf == of,
-            "jb": cf,
-            "jbe": cf or zf,
-            "ja": not cf and not zf,
-            "jae": not cf,
-        }
-        return table[name]
+        return CONDITIONS[name](self)
 
     def snapshot(self) -> tuple[bool, bool, bool, bool]:
         return (self.zf, self.sf, self.cf, self.of)
@@ -153,7 +141,84 @@ class Flags:
         self.zf, self.sf, self.cf, self.of = snap
 
 
+#: Branch condition name -> predicate over :class:`Flags`.
+CONDITIONS: dict[str, Callable[[Flags], bool]] = {
+    "jz": lambda f: f.zf,
+    "jnz": lambda f: not f.zf,
+    "jl": lambda f: f.sf != f.of,
+    "jle": lambda f: f.zf or f.sf != f.of,
+    "jg": lambda f: not f.zf and f.sf == f.of,
+    "jge": lambda f: f.sf == f.of,
+    "jb": lambda f: f.cf,
+    "jbe": lambda f: f.cf or f.zf,
+    "ja": lambda f: not f.cf and not f.zf,
+    "jae": lambda f: not f.cf,
+}
+
+
 # -- ALU --------------------------------------------------------------------
+#
+# One function per operation over 64-bit unsigned operands, updating
+# *flags* when it is not None.  :func:`alu` masks its operands and indexes
+# :data:`ALU`; the VM's compiled handlers bind the entries directly.
+
+def _add(a: int, b: int, flags: Flags | None) -> int:
+    result = (a + b) & MASK64
+    if flags is not None:
+        flags.set_add(a, b, result)
+    return result
+
+
+def _sub(a: int, b: int, flags: Flags | None) -> int:
+    result = (a - b) & MASK64
+    if flags is not None:
+        flags.set_sub(a, b, result)
+    return result
+
+
+def _logic(fn: Callable[[int, int], int]) -> Callable[[int, int, Flags | None], int]:
+    """An operation whose flags follow :meth:`Flags.set_logic`."""
+    def op(a: int, b: int, flags: Flags | None) -> int:
+        result = fn(a, b)
+        if flags is not None:
+            flags.set_logic(result)
+        return result
+    return op
+
+
+def _nonzero(b: int) -> int:
+    """*b* as a divisor: zero raises :class:`VMError` with ``signo=8``."""
+    if b == 0:
+        err = VMError("integer division by zero")
+        err.signo = 8
+        raise err
+    return b
+
+
+def _sdiv(a: int, b: int) -> int:
+    """Signed quotient, truncated toward zero."""
+    sa, sb = s64(a), s64(_nonzero(b))
+    quotient = abs(sa) // abs(sb)
+    return -quotient if (sa < 0) != (sb < 0) else quotient
+
+
+#: Base mnemonic (lower case, no ``i`` suffix) -> operation.
+ALU: dict[str, Callable[[int, int, Flags | None], int]] = {
+    "add": _add,
+    "sub": _sub,
+    "mul": _logic(lambda a, b: (a * b) & MASK64),
+    "udiv": _logic(lambda a, b: a // _nonzero(b)),
+    "urem": _logic(lambda a, b: a % _nonzero(b)),
+    "sdiv": _logic(lambda a, b: _sdiv(a, b) & MASK64),
+    "srem": _logic(lambda a, b: (s64(a) - _sdiv(a, b) * s64(b)) & MASK64),
+    "and": _logic(lambda a, b: a & b),
+    "or": _logic(lambda a, b: a | b),
+    "xor": _logic(lambda a, b: a ^ b),
+    "shl": _logic(lambda a, b: (a << (b & 63)) & MASK64),
+    "shr": _logic(lambda a, b: a >> (b & 63)),
+    "sar": _logic(lambda a, b: (s64(a) >> (b & 63)) & MASK64),
+}
+
 
 def alu(op_name: str, a: int, b: int, flags: Flags | None = None) -> int:
     """Compute a 64-bit ALU result and optionally update *flags*.
@@ -165,60 +230,10 @@ def alu(op_name: str, a: int, b: int, flags: Flags | None = None) -> int:
     Division by zero raises :class:`VMError` carrying ``signo=8`` —
     the machine converts it into a SIGFPE delivery.
     """
-    a, b = u64(a), u64(b)
-    if op_name == "add":
-        result = u64(a + b)
-        if flags:
-            flags.set_add(a, b, result)
-        return result
-    if op_name == "sub":
-        result = u64(a - b)
-        if flags:
-            flags.set_sub(a, b, result)
-        return result
-    if op_name == "mul":
-        result = u64(a * b)
-        if flags:
-            flags.set_logic(result)
-        return result
-    if op_name in ("udiv", "sdiv", "urem", "srem"):
-        if b == 0:
-            err = VMError("integer division by zero")
-            err.signo = 8
-            raise err
-        if op_name == "udiv":
-            result = a // b
-        elif op_name == "urem":
-            result = a % b
-        else:
-            sa, sb = s64(a), s64(b)
-            quotient = abs(sa) // abs(sb)
-            if (sa < 0) != (sb < 0):
-                quotient = -quotient
-            if op_name == "sdiv":
-                result = u64(quotient)
-            else:
-                result = u64(sa - quotient * sb)
-        if flags:
-            flags.set_logic(result)
-        return u64(result)
-    if op_name == "and":
-        result = a & b
-    elif op_name == "or":
-        result = a | b
-    elif op_name == "xor":
-        result = a ^ b
-    elif op_name == "shl":
-        result = u64(a << (b & 63))
-    elif op_name == "shr":
-        result = a >> (b & 63)
-    elif op_name == "sar":
-        result = u64(s64(a) >> (b & 63))
-    else:  # pragma: no cover
+    op = ALU.get(op_name)
+    if op is None:  # pragma: no cover
         raise VMError(f"unknown alu op {op_name}")
-    if flags:
-        flags.set_logic(result)
-    return result
+    return op(a & MASK64, b & MASK64, flags)
 
 
 # -- thread context ----------------------------------------------------------

@@ -14,6 +14,7 @@ triple always produces the same trace.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,16 +29,28 @@ from ..isa import (
     FReg,
     Imm,
     Instruction,
-    Mem,
     Op,
-    Reg,
-    Target,
     decode,
 )
-from . import cpu
-from .cpu import Context, bits_to_f32, bits_to_f64, f32_round, f32_to_bits, f64_div, f64_to_bits, f64_to_i64, s64, u64
+from .cpu import (
+    ALU,
+    CONDITIONS,
+    MASK64,
+    Context,
+    bits_to_f32,
+    bits_to_f64,
+    f32_round,
+    f32_to_bits,
+    f64_div,
+    f64_to_bits,
+    f64_to_i64,
+    s64,
+    sext,
+    u64,
+)
 from .env import Environment
 from .filesystem import FileHandle, FileSystem, Pipe, PipeEnd, StdStream
+from .memory import Memory
 from .syscalls import (
     BOMB_EXIT_CODE,
     SIGFPE,
@@ -53,10 +66,11 @@ _BLOCK = object()  # sentinel: syscall must retry after blocking
 # Return address used by call_function(); never a valid code address, and
 # checked *before* stepping so the sentinel is never fetched.
 CALL_RETURN_ADDR = 0xCA11_0000
-# Ops that end a basic block: every (src, dst) pair they produce is an
-# edge for coverage purposes, including the fallthrough side of a
-# conditional branch.
-_EDGE_OPS = frozenset({Op.JMP, Op.JMPR, Op.CALL, Op.CALLR, Op.RET}) | COND_BRANCHES
+#: A compiled instruction: ``handler(machine, process, thread)`` runs it
+#: on *thread*; ``handler.instr`` is the :class:`Instruction`.
+Handler = Callable[["Machine", "Process", "Thread"], None]
+#: Opcode -> the recorder counter of its executions.
+_OP_COUNTERS = {op: f"vm.op.{op.name.lower()}" for op in Op}
 
 
 @dataclass
@@ -73,13 +87,14 @@ class Thread:
 class Process:
     """One process: private memory, fd table, mailbox, signal handlers."""
 
-    def __init__(self, pid: int, memory, code: dict[int, Instruction],
+    def __init__(self, pid: int, memory: Memory, code: dict[int, Handler],
                  parent: int | None = None):
         self.pid = pid
         self.memory = memory
-        # Decoded-instruction table the process fetches through: the
-        # image's shared table until the process writes into its code
-        # range, then a private copy decoded from its own memory.
+        # Compiled-handler table the process steps through (pc ->
+        # handler, ``handler.instr`` its instruction): the image's shared
+        # table until the process writes into its code range, then a
+        # private copy, compiled from its own memory on a miss.
         self.code = code
         self.parent = parent
         self.threads: list[Thread] = []
@@ -126,25 +141,22 @@ class Machine:
         self.steps = 0
         self._next_pid = self.env.pid
         self._next_tid = 1
-        self._decodes = 0  # table misses, flushed as vm.decodes
+        self._decodes = 0  # instructions decoded, flushed as vm.decodes
         # Bounds of the code-range guard every guest write passes: only a
         # write overlapping the bytes of some code-pc instruction can
         # make a decode stale, and the last one may run past the end.
         ranges = image.code_ranges()
         self._code_lo = min((lo for lo, _ in ranges), default=0)
         self._code_hi = max((hi for _, hi in ranges), default=0) + MAX_INSTRUCTION_SIZE - 1
-        # Per-opcode/per-syscall tallies exist only while a recorder is
-        # installed; the hot step loop then pays one None-check per
-        # instruction when observability is off.
+        # Per-handler step tally, kept only while a recorder or an
+        # attribution profiler is installed (the step loop pays one
+        # None-check otherwise); a run's flush names it per opcode for
+        # the recorder and per pc for the profiler.
         on = session.current
-        self._opcode_counts: dict[str, int] | None = \
+        self._tally: dict[Handler, int] | None = \
+            {} if on.recorder is not None or on.profiler is not None else None
+        self._syscall_counts: dict[int, int] | None = \
             {} if on.recorder is not None else None
-        # Per-PC tallies exist only while an attribution profiler is
-        # installed — same gate-at-construction discipline, so the step
-        # loop stays one None-check when profiling is off.
-        self._pc_counts: dict[int, int] | None = \
-            {} if on.profiler is not None else None
-        self._syscall_counts: dict[int, int] = {}
         self._signals_delivered = 0
         # Hooks (used by the tracing layer).
         self.on_step: Callable[[Process, Thread, Instruction], None] | None = None
@@ -160,15 +172,10 @@ class Machine:
     # -- setup ----------------------------------------------------------
 
     def _setup_main_process(self, argv: list[bytes]) -> None:
-        from .memory import Memory
+        memory = Memory.loaded(self.image)
+        max_end = max((sec.end for sec in self.image.sections), default=0)
 
-        memory = Memory()
-        max_end = 0
-        for sec in self.image.sections:
-            memory.write(sec.vaddr, sec.data)
-            max_end = max(max_end, sec.end)
-
-        proc = Process(self._alloc_pid(), memory, self.image.decoded)
+        proc = Process(self._alloc_pid(), memory, self.image.handlers)
         proc.brk = (max_end + 0xFFF) & ~0xFFF
         proc.fds[0] = StdStream("stdin", in_buffer=bytearray(self.env.stdin))
         proc.fds[1] = StdStream("stdout", out_buffer=self.stdout)
@@ -249,12 +256,19 @@ class Machine:
 
     def _flush_metrics(self, steps0: int, signals0: int, decodes0: int) -> None:
         """Report this run's tallies to the installed recorder, if any."""
-        if self._pc_counts:
-            # One flush per run(): the profiler derives the stage (trace,
-            # replay, ...) from the innermost open span.
-            profile.record_vm(self._pc_counts)
-            self._pc_counts = {}
-        rec = session.current.recorder
+        on = session.current
+        tally = self._tally
+        if tally:
+            self._tally = {}
+            if on.profiler is not None:
+                pcs: dict[int, int] = {}
+                for handler, n in tally.items():
+                    pc = handler.instr.addr
+                    pcs[pc] = pcs.get(pc, 0) + n
+                # One flush per run(): the profiler derives the stage
+                # (trace, replay, ...) from the innermost open span.
+                profile.record_vm(pcs)
+        rec = on.recorder
         if rec is None:
             return
         rec.count("vm.instructions", self.steps - steps0)
@@ -263,8 +277,6 @@ class Machine:
         if self.bomb_triggered:
             rec.count("vm.bomb_triggered")
         if self._syscall_counts:
-            from .syscalls import Sys
-
             total = 0
             for nr, n in self._syscall_counts.items():
                 total += n
@@ -275,222 +287,103 @@ class Machine:
                 rec.count(f"vm.syscall.{name}", n)
             rec.count("vm.syscalls", total)
             self._syscall_counts.clear()
-        if self._opcode_counts:
-            for name, n in self._opcode_counts.items():
-                rec.count(f"vm.op.{name.lower()}", n)
-            self._opcode_counts.clear()
+        if tally:
+            ops: dict[Op, int] = {}
+            for handler, n in tally.items():
+                op = handler.instr.op
+                ops[op] = ops.get(op, 0) + n
+            for op, n in ops.items():
+                rec.count(_OP_COUNTERS[op], n)
 
     def _run_quantum(self, proc: Process, thread: Thread, budget: int) -> None:
+        # The body of _step, inlined: the hot loop of every concrete run.
+        tally = self._tally
+        on_step = self.on_step
         for _ in range(budget):
             if thread.state != "run" or not proc.alive:
                 return
             try:
-                self._step(proc, thread)
+                handler = proc.code.get(thread.ctx.pc) or self._miss(proc, thread)
+                if handler is not None:
+                    if tally is not None:
+                        tally[handler] = tally.get(handler, 0) + 1
+                    if on_step is not None:
+                        on_step(proc, thread, handler.instr)
+                    handler(self, proc, thread)
             except VMError as err:
                 signo = getattr(err, "signo", 11)
                 self._deliver_signal(proc, thread, signo)
             self.steps += 1
 
-    # -- instruction execution ------------------------------------------------
+    def _step(self, proc: Process, thread: Thread) -> None:
+        """Execute one instruction of *thread* (faults propagate)."""
+        handler = proc.code.get(thread.ctx.pc) or self._miss(proc, thread)
+        if handler is not None:
+            if self._tally is not None:
+                self._tally[handler] = self._tally.get(handler, 0) + 1
+            if self.on_step is not None:
+                self.on_step(proc, thread, handler.instr)
+            handler(self, proc, thread)
+
+    # -- instruction table ------------------------------------------------------
 
     def _guard(self, proc: Process, addr: int, width: int) -> None:
         """The code-range guard every guest memory write passes.
 
         Self-modifying code: the first write overlapping decoded code
         gives the process a private copy of the shared table (the image
-        and other processes keep theirs), then the decodes the write may
-        have changed are dropped from the process's table.
+        and other processes keep theirs), then the handlers the write may
+        have made stale are dropped from the process's table.
         """
         if addr < self._code_hi and addr + width > self._code_lo:
             table = proc.code
-            if table is self.image.decoded:
+            if table is self.image.handlers:
                 table = proc.code = dict(table)
             for pc in range(addr - MAX_INSTRUCTION_SIZE + 1, addr + width):
                 table.pop(pc, None)
 
-    def _decode(self, proc: Process, pc: int) -> Instruction:
-        """Table miss: decode the code address *pc* into the process's
-        table, from the image while it is shared, else from memory."""
+    def _miss(self, proc: Process, thread: Thread) -> Handler | None:
+        """Table miss at *thread*'s pc: take a magic return address (and
+        return None), or compile the instruction there."""
+        pc = thread.ctx.pc
+        # The magic return addresses are never mapped, so they are never
+        # in a table.
+        if pc == SIGRETURN_ADDR:
+            self._sigreturn(thread)
+            return None
+        if pc == THREAD_EXIT_ADDR:
+            self._thread_exit(proc, thread)
+            return None
+        return self._compile(proc, pc)
+
+    def _compile(self, proc: Process, pc: int) -> Handler:
+        """Compile the code address *pc* into the process's table: from
+        the image's decode while the table is shared, else decoded from
+        the process's memory."""
         table = proc.code
-        if table is self.image.decoded:
-            instr = self.image.decode_at(pc)
-        elif self.image.is_code_addr(pc):
-            instr = table[pc] = decode(proc.memory.read(pc, MAX_INSTRUCTION_SIZE), pc)
-        else:
-            instr = None
+        image = self.image
+        shared = table is image.handlers
+        instr = image.decoded.get(pc) if shared else None
         if instr is None:
-            raise VMError(f"pc 0x{pc:x} outside code")
-        self._decodes += 1
-        return instr
+            if shared:
+                instr = image.decode_at(pc)
+            elif image.is_code_addr(pc):
+                instr = decode(proc.memory.read(pc, MAX_INSTRUCTION_SIZE), pc)
+            if instr is None:
+                raise VMError(f"pc 0x{pc:x} outside code")
+            self._decodes += 1
+        handler = table[pc] = compile_handler(instr)
+        return handler
 
     def _fetch(self, proc: Process, pc: int) -> Instruction:
         """The instruction at *pc* for signal delivery and fork: through
         the table at a code address, decoded uncached anywhere else."""
-        instr = proc.code.get(pc)
-        if instr is None:
-            if self.image.is_code_addr(pc):
-                return self._decode(proc, pc)
-            instr = decode(proc.memory.read(pc, MAX_INSTRUCTION_SIZE), pc)
-        return instr
-
-    def _step(self, proc: Process, thread: Thread) -> None:
-        ctx = thread.ctx
-        pc = ctx.pc
-        instr = proc.code.get(pc)
-        if instr is None:
-            # The magic return addresses are never mapped, so they are
-            # never in a table.
-            if pc == SIGRETURN_ADDR:
-                self._sigreturn(thread)
-                return
-            if pc == THREAD_EXIT_ADDR:
-                self._thread_exit(proc, thread)
-                return
-            instr = self._decode(proc, pc)
-        counts = self._opcode_counts
-        if counts is not None:
-            name = instr.op.name
-            counts[name] = counts.get(name, 0) + 1
-        pcs = self._pc_counts
-        if pcs is not None:
-            pcs[pc] = pcs.get(pc, 0) + 1
-        if self.on_step:
-            self.on_step(proc, thread, instr)
-        self._execute(proc, thread, instr)
-
-    def _execute(self, proc: Process, thread: Thread, instr: Instruction) -> None:
-        ctx = thread.ctx
-        regs = ctx.regs
-        mem = proc.memory
-        op = instr.op
-        ops = instr.operands
-        next_pc = instr.next_addr
-
-        if op is Op.NOP:
-            pass
-        elif op is Op.MOV:
-            regs[ops[0].index] = regs[ops[1].index]
-        elif op is Op.MOVI:
-            regs[ops[0].index] = ops[1].value
-        elif op in LOAD_INFO:
-            width, signed = LOAD_INFO[op]
-            addr = u64(regs[ops[1].base] + ops[1].disp)
-            value = mem.read_uint(addr, width)
-            regs[ops[0].index] = cpu.sext(value, width * 8) if signed else value
-        elif op in STORE_INFO:
-            width = STORE_INFO[op]
-            addr = u64(regs[ops[0].base] + ops[0].disp)
-            mem.write_uint(addr, regs[ops[1].index], width)
-            self._guard(proc, addr, width)
-        elif op is Op.LEA:
-            regs[ops[0].index] = u64(regs[ops[1].base] + ops[1].disp)
-        elif Op.ADD <= op <= Op.SARI:
-            name = op.name.lower()
-            if isinstance(ops[1], Imm):
-                rhs = ops[1].value
-                name = name[:-1]  # strip the 'i' immediate-form suffix
-            else:
-                rhs = regs[ops[1].index]
-            regs[ops[0].index] = cpu.alu(name, regs[ops[0].index], rhs, ctx.flags)
-        elif op is Op.NOT:
-            regs[ops[0].index] = u64(~regs[ops[0].index])
-            ctx.flags.set_logic(regs[ops[0].index])
-        elif op is Op.NEG:
-            regs[ops[0].index] = cpu.alu("sub", 0, regs[ops[0].index], ctx.flags)
-        elif op in (Op.CMP, Op.CMPI):
-            rhs = ops[1].value if isinstance(ops[1], Imm) else regs[ops[1].index]
-            cpu.alu("sub", regs[ops[0].index], rhs, ctx.flags)
-        elif op is Op.TEST:
-            ctx.flags.set_logic(regs[ops[0].index] & regs[ops[1].index])
-        elif op is Op.JMP:
-            next_pc = ops[0].addr
-        elif op in COND_BRANCHES:
-            if ctx.flags.condition(op.name.lower()):
-                next_pc = ops[0].addr
-        elif op is Op.JMPR:
-            next_pc = regs[ops[0].index]
-        elif op is Op.CALL or op is Op.CALLR:
-            regs[15] = u64(regs[15] - 8)
-            mem.write_u64(regs[15], next_pc)
-            self._guard(proc, regs[15], 8)
-            next_pc = ops[0].addr if op is Op.CALL else regs[ops[0].index]
-        elif op is Op.RET:
-            next_pc = mem.read_u64(regs[15])
-            regs[15] = u64(regs[15] + 8)
-        elif op is Op.PUSH:
-            regs[15] = u64(regs[15] - 8)
-            mem.write_u64(regs[15], regs[ops[0].index])
-            self._guard(proc, regs[15], 8)
-        elif op is Op.POP:
-            regs[ops[0].index] = mem.read_u64(regs[15])
-            regs[15] = u64(regs[15] + 8)
-        elif op is Op.SYSCALL:
-            result = self._syscall(proc, thread)
-            if result is _BLOCK:
-                return  # do not advance pc; retry on wake
-            if result is not None:
-                regs[0] = u64(result)
-        elif op is Op.HLT:
-            self._exit_process(proc, 0)
-            return
-        else:
-            self._execute_float(proc, thread, instr)
-        ctx.pc = next_pc
-        if self.on_edge is not None and op in _EDGE_OPS:
-            self.on_edge(instr.addr, next_pc)
-
-    def _execute_float(self, proc: Process, thread: Thread, instr: Instruction) -> None:
-        ctx = thread.ctx
-        regs, fregs = ctx.regs, ctx.fregs
-        mem = proc.memory
-        op = instr.op
-        ops = instr.operands
-
-        if op is Op.FLD:
-            addr = u64(regs[ops[1].base] + ops[1].disp)
-            fregs[ops[0].index] = mem.read_u64(addr)
-        elif op is Op.FST:
-            addr = u64(regs[ops[0].base] + ops[0].disp)
-            mem.write_u64(addr, fregs[ops[1].index])
-            self._guard(proc, addr, 8)
-        elif op is Op.FMOV:
-            fregs[ops[0].index] = fregs[ops[1].index]
-        elif op is Op.FMOVR:
-            fregs[ops[0].index] = regs[ops[1].index]
-        elif op is Op.RMOVF:
-            regs[ops[0].index] = fregs[ops[1].index]
-        elif op in (Op.FADDS, Op.FSUBS, Op.FMULS, Op.FDIVS):
-            a = bits_to_f32(fregs[ops[0].index])
-            b = bits_to_f32(fregs[ops[1].index])
-            fn = {Op.FADDS: lambda: a + b, Op.FSUBS: lambda: a - b,
-                  Op.FMULS: lambda: a * b, Op.FDIVS: lambda: f64_div(a, b)}[op]
-            fregs[ops[0].index] = f32_to_bits(f32_round(fn()))
-        elif op in (Op.FADDD, Op.FSUBD, Op.FMULD, Op.FDIVD):
-            a = bits_to_f64(fregs[ops[0].index])
-            b = bits_to_f64(fregs[ops[1].index])
-            fn = {Op.FADDD: lambda: a + b, Op.FSUBD: lambda: a - b,
-                  Op.FMULD: lambda: a * b, Op.FDIVD: lambda: f64_div(a, b)}[op]
-            fregs[ops[0].index] = f64_to_bits(fn())
-        elif op is Op.FCMPS:
-            ctx.flags.set_fcmp(bits_to_f32(fregs[ops[0].index]),
-                               bits_to_f32(fregs[ops[1].index]))
-        elif op is Op.FCMPD:
-            ctx.flags.set_fcmp(bits_to_f64(fregs[ops[0].index]),
-                               bits_to_f64(fregs[ops[1].index]))
-        elif op is Op.CVTIFS:
-            fregs[ops[0].index] = f32_to_bits(float(s64(regs[ops[1].index])))
-        elif op is Op.CVTFIS:
-            regs[ops[0].index] = f64_to_i64(bits_to_f32(fregs[ops[1].index]))
-        elif op is Op.CVTIFD:
-            fregs[ops[0].index] = f64_to_bits(float(s64(regs[ops[1].index])))
-        elif op is Op.CVTFID:
-            regs[ops[0].index] = f64_to_i64(bits_to_f64(fregs[ops[1].index]))
-        elif op is Op.CVTSD:
-            fregs[ops[0].index] = f64_to_bits(bits_to_f32(fregs[ops[1].index]))
-        elif op is Op.CVTDS:
-            fregs[ops[0].index] = f32_to_bits(f32_round(bits_to_f64(fregs[ops[1].index])))
-        else:  # pragma: no cover
-            raise VMError(f"unimplemented opcode {op.name}")
+        handler = proc.code.get(pc)
+        if handler is not None:
+            return handler.instr
+        if self.image.is_code_addr(pc):
+            return self._compile(proc, pc).instr
+        return decode(proc.memory.read(pc, MAX_INSTRUCTION_SIZE), pc)
 
     # -- signals ----------------------------------------------------------------
 
@@ -539,8 +432,9 @@ class Machine:
         regs = thread.ctx.regs
         nr = regs[0]
         args = [regs[i] for i in range(1, 6)]
-        if self._opcode_counts is not None:
-            self._syscall_counts[nr] = self._syscall_counts.get(nr, 0) + 1
+        counts = self._syscall_counts
+        if counts is not None:
+            counts[nr] = counts.get(nr, 0) + 1
         result = self._dispatch_syscall(proc, thread, nr, args)
         if result is not _BLOCK and self.on_syscall:
             self.on_syscall(proc, thread, nr, args, result if result is not None else 0)
@@ -681,7 +575,7 @@ class Machine:
         # The child inherits the parent's table: the shared one stays
         # shared, a private one is copied with the memory it mirrors.
         code = proc.code
-        if code is not self.image.decoded:
+        if code is not self.image.handlers:
             code = dict(code)
         child = Process(self._alloc_pid(), proc.memory.clone(), code, parent=proc.pid)
         child.brk = proc.brk
@@ -751,6 +645,366 @@ class Machine:
         finally:
             thread.ctx = saved
             thread.state = "run"
+
+
+# -- compiled handlers ----------------------------------------------------------
+#
+# Each decoded instruction compiles once into a closure that binds its
+# register indices, immediate, width, branch target, fall-through pc and
+# operation, so a step is one table lookup and one call.  A handler is
+# shared by every machine of its image: it takes the machine, process
+# and thread as arguments and re-reads ``thread.ctx`` on every call
+# (``_sigreturn`` and ``call_function`` swap it).  A faulting handler
+# raises before it writes ``ctx.pc``; a blocking syscall and ``hlt``
+# leave it unchanged.  Edge handlers (jumps, calls, returns, both sides
+# of a conditional branch) report ``(branch pc, pc reached)`` to
+# ``on_edge`` when one is installed.
+
+_REGS = operator.attrgetter("regs")
+_FREGS = operator.attrgetter("fregs")
+
+
+def _file(operand):
+    """Getter of the register file (of a context) *operand* names."""
+    return _FREGS if isinstance(operand, FReg) else _REGS
+
+
+def _nop(instr):
+    nxt = instr.next_addr
+
+    def h(m, proc, thread):
+        thread.ctx.pc = nxt
+    return h
+
+
+def _mov(instr):
+    d, s = instr.operands[0].index, instr.operands[1].index
+    nxt = instr.next_addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        regs = ctx.regs
+        regs[d] = regs[s]
+        ctx.pc = nxt
+    return h
+
+
+def _movi(instr):
+    d, value = instr.operands[0].index, instr.operands[1].value
+    nxt = instr.next_addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        ctx.regs[d] = value
+        ctx.pc = nxt
+    return h
+
+
+def _transfer(fn):
+    """Register transfer ``dst = fn(src)`` between (or within) the
+    register files: the float moves and conversions."""
+    def compile_(instr):
+        dst, src = instr.operands
+        d, s, nxt = dst.index, src.index, instr.next_addr
+        put, get = _file(dst), _file(src)
+
+        def h(m, proc, thread):
+            ctx = thread.ctx
+            put(ctx)[d] = fn(get(ctx)[s])
+            ctx.pc = nxt
+        return h
+    return compile_
+
+
+def _load(instr):
+    """``ld*`` (zero- or sign-extending) and ``fld`` (raw 64 bits)."""
+    dst, src = instr.operands
+    d, base, disp, nxt = dst.index, src.base, src.disp, instr.next_addr
+    width, signed = LOAD_INFO.get(instr.op, (8, False))
+    bits = width * 8
+    put = _file(dst)
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        value = proc.memory.read_uint((ctx.regs[base] + disp) & MASK64, width)
+        put(ctx)[d] = sext(value, bits) if signed else value
+        ctx.pc = nxt
+    return h
+
+
+def _store(instr):
+    """``st*`` and ``fst`` (raw 64 bits)."""
+    dst, src = instr.operands
+    base, disp, s, nxt = dst.base, dst.disp, src.index, instr.next_addr
+    width = STORE_INFO.get(instr.op, 8)
+    get = _file(src)
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        addr = (ctx.regs[base] + disp) & MASK64
+        proc.memory.write_uint(addr, get(ctx)[s], width)
+        m._guard(proc, addr, width)
+        ctx.pc = nxt
+    return h
+
+
+def _lea(instr):
+    dst, src = instr.operands
+    d, base, disp, nxt = dst.index, src.base, src.disp, instr.next_addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        regs = ctx.regs
+        regs[d] = (regs[base] + disp) & MASK64
+        ctx.pc = nxt
+    return h
+
+
+#: The ops that only set the flags -> the ALU operation they compute.
+_FLAGS_ONLY = {"cmp": "sub", "test": "and"}
+
+
+def _alu(instr):
+    """Register- and immediate-form ALU ops, plus ``cmp``/``cmpi`` and
+    ``test``, which keep only the flags of a ``sub`` and an ``and``."""
+    dst, rhs = instr.operands
+    d, nxt = dst.index, instr.next_addr
+    name = instr.op.name.lower()
+    if isinstance(rhs, Imm):
+        name = name[:-1]  # strip the 'i' immediate-form suffix
+    keep = name not in _FLAGS_ONLY
+    fn = ALU[_FLAGS_ONLY.get(name, name)]
+    if isinstance(rhs, Imm):
+        imm = rhs.value
+
+        def h(m, proc, thread):
+            ctx = thread.ctx
+            regs = ctx.regs
+            result = fn(regs[d], imm, ctx.flags)
+            if keep:
+                regs[d] = result
+            ctx.pc = nxt
+    else:
+        s = rhs.index
+
+        def h(m, proc, thread):
+            ctx = thread.ctx
+            regs = ctx.regs
+            result = fn(regs[d], regs[s], ctx.flags)
+            if keep:
+                regs[d] = result
+            ctx.pc = nxt
+    return h
+
+
+def _not(instr):
+    d, nxt = instr.operands[0].index, instr.next_addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        regs = ctx.regs
+        regs[d] = ~regs[d] & MASK64
+        ctx.flags.set_logic(regs[d])
+        ctx.pc = nxt
+    return h
+
+
+def _neg(instr):
+    d, nxt = instr.operands[0].index, instr.next_addr
+    sub = ALU["sub"]
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        regs = ctx.regs
+        regs[d] = sub(0, regs[d], ctx.flags)
+        ctx.pc = nxt
+    return h
+
+
+def _jmp(instr):
+    src, dst = instr.addr, instr.operands[0].addr
+
+    def h(m, proc, thread):
+        thread.ctx.pc = dst
+        if m.on_edge is not None:
+            m.on_edge(src, dst)
+    return h
+
+
+def _branch(instr):
+    cond = CONDITIONS[instr.op.name.lower()]
+    src, target, nxt = instr.addr, instr.operands[0].addr, instr.next_addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        dst = ctx.pc = target if cond(ctx.flags) else nxt
+        if m.on_edge is not None:
+            m.on_edge(src, dst)
+    return h
+
+
+def _jmpr(instr):
+    src, r = instr.addr, instr.operands[0].index
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        dst = ctx.pc = ctx.regs[r]
+        if m.on_edge is not None:
+            m.on_edge(src, dst)
+    return h
+
+
+def _call(instr):
+    """``call`` and ``callr``; ``callr`` reads its target register after
+    the return address is pushed."""
+    src, nxt, target = instr.addr, instr.next_addr, instr.operands[0]
+    direct = instr.op is Op.CALL
+    addr = target.addr if direct else 0
+    r = 0 if direct else target.index
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        regs = ctx.regs
+        sp = regs[15] = (regs[15] - 8) & MASK64
+        proc.memory.write_uint(sp, nxt, 8)
+        m._guard(proc, sp, 8)
+        dst = ctx.pc = addr if direct else regs[r]
+        if m.on_edge is not None:
+            m.on_edge(src, dst)
+    return h
+
+
+def _ret(instr):
+    src = instr.addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        regs = ctx.regs
+        dst = ctx.pc = proc.memory.read_uint(regs[15], 8)
+        regs[15] = (regs[15] + 8) & MASK64
+        if m.on_edge is not None:
+            m.on_edge(src, dst)
+    return h
+
+
+def _push(instr):
+    s, nxt = instr.operands[0].index, instr.next_addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        regs = ctx.regs
+        sp = regs[15] = (regs[15] - 8) & MASK64
+        proc.memory.write_uint(sp, regs[s], 8)
+        m._guard(proc, sp, 8)
+        ctx.pc = nxt
+    return h
+
+
+def _pop(instr):
+    d, nxt = instr.operands[0].index, instr.next_addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        regs = ctx.regs
+        regs[d] = proc.memory.read_uint(regs[15], 8)
+        regs[15] = (regs[15] + 8) & MASK64
+        ctx.pc = nxt
+    return h
+
+
+def _syscall(instr):
+    nxt = instr.next_addr
+
+    def h(m, proc, thread):
+        ctx = thread.ctx
+        result = m._syscall(proc, thread)
+        if result is _BLOCK:
+            return  # do not advance pc; retry on wake
+        if result is not None:
+            ctx.regs[0] = result & MASK64
+        ctx.pc = nxt
+    return h
+
+
+def _hlt(instr):
+    def h(m, proc, thread):
+        m._exit_process(proc, 0)
+    return h
+
+
+def _float_binop(fn, to_float, to_bits):
+    def compile_(instr):
+        d, s = instr.operands[0].index, instr.operands[1].index
+        nxt = instr.next_addr
+
+        def h(m, proc, thread):
+            ctx = thread.ctx
+            fregs = ctx.fregs
+            fregs[d] = to_bits(fn(to_float(fregs[d]), to_float(fregs[s])))
+            ctx.pc = nxt
+        return h
+    return compile_
+
+
+def _fcmp(to_float):
+    def compile_(instr):
+        a, b = instr.operands[0].index, instr.operands[1].index
+        nxt = instr.next_addr
+
+        def h(m, proc, thread):
+            ctx = thread.ctx
+            fregs = ctx.fregs
+            ctx.flags.set_fcmp(to_float(fregs[a]), to_float(fregs[b]))
+            ctx.pc = nxt
+        return h
+    return compile_
+
+
+def _f32_bits(value: float) -> int:
+    return f32_to_bits(f32_round(value))
+
+
+def _raw(value: int) -> int:
+    return value
+
+
+_SINGLE = (bits_to_f32, _f32_bits)
+_DOUBLE = (bits_to_f64, f64_to_bits)
+
+#: Opcode -> compiler of its handler: every opcode has its own entry.
+_COMPILERS: dict[Op, Callable[[Instruction], Handler]] = {
+    Op.NOP: _nop, Op.MOV: _mov, Op.MOVI: _movi, Op.LEA: _lea,
+    **{op: _load for op in LOAD_INFO}, Op.FLD: _load,
+    **{op: _store for op in STORE_INFO}, Op.FST: _store,
+    **{op: _alu for op in Op if Op.ADD <= op <= Op.SARI},
+    Op.CMP: _alu, Op.CMPI: _alu, Op.TEST: _alu, Op.NOT: _not, Op.NEG: _neg,
+    Op.JMP: _jmp, **{op: _branch for op in COND_BRANCHES}, Op.JMPR: _jmpr,
+    Op.CALL: _call, Op.CALLR: _call, Op.RET: _ret,
+    Op.PUSH: _push, Op.POP: _pop, Op.SYSCALL: _syscall, Op.HLT: _hlt,
+    Op.FMOV: _transfer(_raw), Op.FMOVR: _transfer(_raw), Op.RMOVF: _transfer(_raw),
+    Op.FADDS: _float_binop(operator.add, *_SINGLE),
+    Op.FSUBS: _float_binop(operator.sub, *_SINGLE),
+    Op.FMULS: _float_binop(operator.mul, *_SINGLE),
+    Op.FDIVS: _float_binop(f64_div, *_SINGLE),
+    Op.FADDD: _float_binop(operator.add, *_DOUBLE),
+    Op.FSUBD: _float_binop(operator.sub, *_DOUBLE),
+    Op.FMULD: _float_binop(operator.mul, *_DOUBLE),
+    Op.FDIVD: _float_binop(f64_div, *_DOUBLE),
+    Op.FCMPS: _fcmp(bits_to_f32), Op.FCMPD: _fcmp(bits_to_f64),
+    Op.CVTIFS: _transfer(lambda v: f32_to_bits(float(s64(v)))),
+    Op.CVTFIS: _transfer(lambda v: f64_to_i64(bits_to_f32(v))),
+    Op.CVTIFD: _transfer(lambda v: f64_to_bits(float(s64(v)))),
+    Op.CVTFID: _transfer(lambda v: f64_to_i64(bits_to_f64(v))),
+    Op.CVTSD: _transfer(lambda v: f64_to_bits(bits_to_f32(v))),
+    Op.CVTDS: _transfer(lambda v: _f32_bits(bits_to_f64(v))),
+}
+
+
+def compile_handler(instr: Instruction) -> Handler:
+    """The handler running *instr*; ``handler.instr`` is *instr*."""
+    handler = _COMPILERS[instr.op](instr)
+    handler.instr = instr
+    return handler
 
 
 def run_image(

@@ -289,7 +289,7 @@ class TestIntegration:
         bomb = get_bomb("cp_stack")
         assert session.current.profiler is None
         trace = record_trace(bomb.image, [b"prog"] + bomb.seed_argv[1:])
-        assert trace.instruction_count > 0  # ran with _pc_counts gated off
+        assert trace.instruction_count > 0  # ran with the step tally gated off
 
     def test_hotspot_report_renders_real_cell(self):
         prof = profile.Profiler()

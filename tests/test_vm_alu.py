@@ -5,8 +5,10 @@ arithmetic (hypothesis-driven)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.binfmt import FLAG_X, TEXT_BASE, Image, Section
 from repro.errors import VMError
-from repro.vm import Flags, alu, s64, sext, u64
+from repro.isa import COND_BRANCHES, OPSPEC, Imm, Instruction, Op, Reg, Target, encode
+from repro.vm import Flags, Machine, alu, s64, sext, u64
 from repro.vm.cpu import bits_to_f32, bits_to_f64, f32_round, f32_to_bits, f64_to_bits
 
 from .helpers import run_asm
@@ -165,3 +167,112 @@ class TestFloatHelpers:
     @given(value=st.floats(allow_nan=False, allow_infinity=False))
     def test_f64_bits_roundtrip(self, value):
         assert bits_to_f64(f64_to_bits(value)) == value
+
+
+# -- machine vs reference: every ALU op and conditional branch ---------------
+
+INT64_MIN = 2**63
+#: Operands where ALU semantics have edges: zero divisors, shift counts
+#: at and past 64, the signed extremes.
+EDGES = (0, 1, 2, 63, 64, 65, 127, 2**32, INT64_MIN - 1, INT64_MIN, 2**64 - 1)
+operands = st.one_of(u64s, st.sampled_from(EDGES))
+
+#: Every register-form and immediate-form ALU op, cmp/cmpi/test and the
+#: one-operand not/neg.
+ALU_OPS = [op for op in Op if Op.ADD <= op <= Op.TEST]
+BRANCHES = sorted(COND_BRANCHES)
+FLAG_SETTERS = [Op.CMP, Op.ADD, Op.SUB, Op.AND, Op.XOR, Op.SHL, Op.TEST, Op.NEG]
+
+
+def _layout(*instrs: tuple) -> tuple[Image, list[int]]:
+    """An image whose ``.text`` is *instrs*, ``(op, operands)`` pairs laid
+    out from ``TEXT_BASE`` (an int operand is the index of the
+    instruction a branch targets), and the instructions' addresses."""
+    addrs = [TEXT_BASE]
+    for op, _ in instrs:
+        addrs.append(addrs[-1] + Instruction(op, ()).size)
+    code = b"".join(
+        encode(Instruction(op, tuple(Target(addrs[o]) if isinstance(o, int) else o
+                                     for o in operands), addr))
+        for (op, operands), addr in zip(instrs, addrs))
+    return Image(TEXT_BASE, [Section(".text", TEXT_BASE, code, FLAG_X)]), addrs
+
+
+def _rhs(op: Op, b: int) -> tuple:
+    """The operands after ``r1`` of *op* when its right-hand side is *b*
+    (in ``r2`` for the register form)."""
+    return {"R": (), "RR": (Reg(2),), "RI": (Imm(b),)}[OPSPEC[op]]
+
+
+def _reference(op: Op, a: int, b: int) -> tuple[int, Flags]:
+    """(r1 after *op* with r1=a and right-hand side b, flags), from
+    ``cpu.alu`` and :class:`Flags`."""
+    flags = Flags()
+    name = op.name.lower()
+    if op in (Op.CMP, Op.CMPI):
+        alu("sub", a, b, flags)
+        return a, flags
+    if op is Op.TEST:
+        flags.set_logic(a & b)
+        return a, flags
+    if op is Op.NOT:
+        flags.set_logic(~a)
+        return u64(~a), flags
+    if op is Op.NEG:
+        return alu("sub", 0, a, flags), flags
+    if OPSPEC[op] == "RI":
+        name = name[:-1]
+    return alu(name, a, b, flags), flags
+
+
+def _check_op(op: Op, a: int, b: int) -> None:
+    """Run ``movi r1, a; movi r2, b; <op> r1, ...; hlt`` and compare r1
+    and the flags with the reference."""
+    image, addrs = _layout((Op.MOVI, (Reg(1), Imm(a))), (Op.MOVI, (Reg(2), Imm(b))),
+                           (op, (Reg(1), *_rhs(op, b))), (Op.HLT, ()))
+    machine = Machine(image, [b"t"])
+    exit_code = machine.run(10).exit_code
+    ctx = machine.processes[machine.main_pid].threads[0].ctx
+    try:
+        expected, flags = _reference(op, a, b)
+    except VMError as err:
+        # SIGFPE with no handler: the process dies at the faulting
+        # instruction with r1 and the flags untouched.
+        assert err.signo == 8
+        assert (exit_code, ctx.pc) == (128 + 8, addrs[2])
+        assert (ctx.regs[1], ctx.flags.snapshot()) == (a, Flags().snapshot())
+        return
+    assert exit_code == 0
+    assert ctx.regs[1] == expected
+    assert ctx.flags.snapshot() == flags.snapshot()
+
+
+class TestMachineMatchesReference:
+    @given(op=st.sampled_from(ALU_OPS), a=operands, b=operands)
+    @settings(max_examples=400, deadline=None)
+    def test_alu_op(self, op, a, b):
+        _check_op(op, a, b)
+
+    def test_alu_edges(self):
+        for op in ALU_OPS:
+            for a in EDGES:
+                for b in EDGES:
+                    _check_op(op, a, b)
+
+    @given(setter=st.sampled_from(FLAG_SETTERS), cc=st.sampled_from(BRANCHES),
+           a=operands, b=operands)
+    @settings(max_examples=400, deadline=None)
+    def test_branch_follows_condition(self, setter, cc, a, b):
+        _, flags = _reference(setter, a, b)
+        taken = flags.condition(cc.name.lower())
+        image, addrs = _layout(
+            (Op.MOVI, (Reg(1), Imm(a))), (Op.MOVI, (Reg(2), Imm(b))),
+            (setter, (Reg(1), *_rhs(setter, b))), (cc, (6,)),
+            (Op.MOVI, (Reg(3), Imm(0))), (Op.HLT, ()),
+            (Op.MOVI, (Reg(3), Imm(1))), (Op.HLT, ()))
+        machine = Machine(image, [b"t"])
+        edges = []
+        machine.on_edge = lambda src, dst: edges.append((src, dst))
+        machine.run(10)
+        assert machine.processes[machine.main_pid].threads[0].ctx.regs[3] == taken
+        assert edges == [(addrs[3], addrs[6] if taken else addrs[4])]

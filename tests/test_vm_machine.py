@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.binfmt import link
-from repro.isa import Imm, Instruction, Op, Reg, encode
+from repro.isa import OPSPEC, FReg, Imm, Instruction, Mem, Op, Reg, Target, encode
 from repro.vm import Environment, Machine, Memory
-from repro.vm.syscalls import BOMB_EXIT_CODE
+from repro.vm.machine import compile_handler
+from repro.vm.memory import PAGE_SIZE
+from repro.vm.syscalls import BOMB_EXIT_CODE, Sys
 
 from .helpers import run_asm, run_bc
 
@@ -40,6 +42,25 @@ class TestMemory:
         mem = Memory()
         mem.write_cstr(0x100, b"abc")
         assert mem.read_cstr(0x100) == b"abc"
+
+    def test_cstr_crossing_a_page_boundary(self):
+        mem = Memory()
+        text = bytes(range(1, 200))
+        start = 3 * PAGE_SIZE - 50
+        mem.write_cstr(start, text)
+        assert mem.read_cstr(start) == text
+        # Terminated by the untouched (zero) page after the string.
+        mem.write(4 * PAGE_SIZE - 3, b"xyz")
+        assert mem.read_cstr(4 * PAGE_SIZE - 3) == b"xyz"
+
+    def test_cstr_stops_at_limit(self):
+        mem = Memory()
+        text = b"a" * (PAGE_SIZE + 100)
+        mem.write_cstr(PAGE_SIZE - 10, text)
+        assert mem.read_cstr(PAGE_SIZE - 10, limit=PAGE_SIZE + 100) == text
+        assert mem.read_cstr(PAGE_SIZE - 10, limit=30) == b"a" * 30
+        assert mem.read_cstr(PAGE_SIZE - 10, limit=0) == b""
+        assert mem.read_cstr(PAGE_SIZE - 10) == b"a" * 4096
 
     def test_clone_is_independent(self):
         mem = Memory()
@@ -441,3 +462,72 @@ class TestSelfModifyingCode:
         """ + _EXIT_R0)
         assert Machine(image, [b"t", b"patch"]).run().exit_code == 9
         assert Machine(image, [b"t"]).run().exit_code == 7
+
+
+# -- compiled handlers and page templates -------------------------------------
+
+#: A sample operand per operand kind: r3 holds a nonzero divisor and a
+#: jump target, r4 a mapped address.
+_SAMPLE_OPERANDS = {"R": Reg(3), "F": FReg(2), "I": Imm(5), "M": Mem(4, 8),
+                    "J": Target(0x1040)}
+
+
+class TestCompiledHandlers:
+    @pytest.mark.parametrize("op", list(OPSPEC), ids=lambda op: op.name)
+    def test_every_opcode_compiles_and_runs(self, op):
+        instr = Instruction(op, tuple(_SAMPLE_OPERANDS[k] for k in OPSPEC[op]), 0x1000)
+        handler = compile_handler(instr)
+        assert handler.instr is instr
+        image = link([assemble(".text\n.global _start\n_start: hlt\n")])
+        machine = Machine(image, [b"t"])
+        proc = machine.processes[machine.main_pid]
+        thread = proc.threads[0]
+        ctx = thread.ctx
+        ctx.pc = instr.addr
+        ctx.regs[0] = Sys.GETPID
+        ctx.regs[3] = 0x1080
+        ctx.regs[4] = 0x2000
+        handler(machine, proc, thread)
+        if op is Op.HLT:
+            assert not proc.alive and ctx.pc == instr.addr
+        else:
+            assert proc.alive and ctx.pc != instr.addr
+
+    def test_machines_of_one_image_are_isolated(self):
+        image = link([assemble("""
+        .text
+        .global _start
+        _start:
+            movi r4, counter
+            ld r1, [r4]
+            addi r1, 1
+            st [r4], r1
+            movi r0, 0
+            syscall
+        .data
+        counter: .quad 7
+        """)])
+        counter = image.symbol_addr("counter")
+        sections = [(sec.name, sec.vaddr, sec.data) for sec in image.sections]
+        before = Machine(image, [b"t"])
+        writer = Machine(image, [b"t"])
+        assert writer.run().exit_code == 8
+        after = Machine(image, [b"t"])
+        for machine in (before, after):
+            memory = machine.processes[machine.main_pid].memory
+            assert memory.read_u64(counter) == 7
+            assert machine.run().exit_code == 8
+        assert [(sec.name, sec.vaddr, sec.data) for sec in image.sections] == sections
+        assert Memory.loaded(image).read_u64(counter) == 7
+
+    def test_clone_shares_template_pages_copy_on_write(self):
+        image = link([assemble(
+            ".text\n.global _start\n_start: hlt\n.data\nvalue: .quad 7\n")])
+        addr = image.symbol_addr("value")
+        parent = Memory.loaded(image)
+        child = parent.clone()
+        child.write_u64(addr, 9)
+        assert parent.read_u64(addr) == 7 and child.read_u64(addr) == 9
+        parent.write_u64(addr, 5)
+        assert child.read_u64(addr) == 9
+        assert Memory.loaded(image).read_u64(addr) == 7
