@@ -28,7 +28,6 @@ mirroring the two Angr configurations evaluated in the paper.
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass, field
 
 from ..errors import AsmError

@@ -62,6 +62,11 @@ def _load_image(path: str):
     return Image.from_bytes(Path(path).read_bytes())
 
 
+#: ``--env`` syntax: integer fields by key, byte maps by key prefix.
+_ENV_INTS = {"time": "time_value", "pid": "pid", "magic": "magic"}
+_ENV_MAPS = {"file": "files", "url": "network"}
+
+
 def _parse_env(specs: list[str]):
     """Parse ``--env key=value`` pairs into an Environment."""
     from .vm import Environment
@@ -69,16 +74,11 @@ def _parse_env(specs: list[str]):
     env = Environment()
     for spec in specs or []:
         key, _, value = spec.partition("=")
-        if key == "time":
-            env.time_value = int(value)
-        elif key == "pid":
-            env.pid = int(value)
-        elif key == "magic":
-            env.magic = int(value)
-        elif key.startswith("file:"):
-            env.files[key[5:]] = value.encode()
-        elif key.startswith("url:"):
-            env.network[key[4:]] = value.encode()
+        kind, colon, name = key.partition(":")
+        if key in _ENV_INTS:
+            setattr(env, _ENV_INTS[key], int(value))
+        elif colon and kind in _ENV_MAPS:
+            getattr(env, _ENV_MAPS[kind])[name] = value.encode()
         else:
             raise SystemExit(f"unknown env key {key!r} "
                              "(use time/pid/magic/file:<path>/url:<url>)")
@@ -153,67 +153,69 @@ def cmd_taint(args) -> int:
     return 0
 
 
+class _BinaryTarget:
+    """A binary on disk in the shape of the :class:`~repro.bombs.Bomb`
+    that ``Tool.analyze_bomb`` reads: its file name is the bomb id (and
+    argv0), the parsed ``--env`` its base environment."""
+
+    expected_unreachable = False
+
+    def __init__(self, path: str, seed_argv: list[bytes], env_specs):
+        self.bomb_id = Path(path).name
+        self.image = _load_image(path)
+        self.seed_argv = seed_argv
+        self._env_specs = env_specs
+
+    def base_env(self):
+        return _parse_env(self._env_specs)
+
+    def triggers(self, argv_tail: list[bytes], env=None) -> bool:
+        from .vm import Machine
+
+        run_env = self.base_env().merged(env)
+        argv = [self.bomb_id.encode()] + list(argv_tail)
+        return Machine(self.image, argv, run_env).run().bomb_triggered
+
+
+def _env_flags(base, overlay) -> list[str]:
+    """The ``--env`` flags that turn *base* into ``base.merged(overlay)``.
+
+    File and url contents lose their trailing NUL bytes (the padding of
+    a fixed-width symbolic buffer): no shell argument can carry a NUL.
+    """
+    import shlex
+
+    env = base.merged(overlay)
+    flags = [f"{key}={getattr(env, attr)}" for key, attr in _ENV_INTS.items()
+             if getattr(env, attr) != getattr(base, attr)]
+    for kind, attr in _ENV_MAPS.items():
+        known = getattr(base, attr)
+        for name, data in sorted(getattr(env, attr).items()):
+            if known.get(name) != data:
+                text = data.rstrip(b"\0").decode("latin1")
+                flags.append(f"{kind}:{name}={text}")
+    return [f"--env {shlex.quote(flag)}" for flag in flags]
+
+
 def cmd_solve(args) -> int:
-    from .concolic import ConcolicEngine
-    from .symex import AngrEngine
-    from .tools.profiles import HYBRID_PROFILES, SYMEX_PROFILES, TRACE_PROFILES
-    from .vm import Machine
+    from .tools import get_tool
 
-    from . import obs
-
-    image = _load_image(args.binary)
+    try:
+        tool = get_tool(args.tool)
+    except KeyError:
+        raise SystemExit(f"unknown tool {args.tool!r}")
     seed = [s.encode() for s in (args.seed or ["1"])]
-    argv0 = Path(args.binary).name.encode()
-
-    def _triggers(claim):
-        replay = Machine(image, [argv0] + claim, _parse_env(args.env))
-        return replay.run().bomb_triggered
-
+    target = _BinaryTarget(args.binary, seed, args.env)
     with _metrics(args):
-        if args.tool in TRACE_PROFILES:
-            report = ConcolicEngine(TRACE_PROFILES[args.tool]).run(
-                image, seed, _parse_env(args.env), argv0=argv0)
-            solved, solution = report.solved, report.solution
-            diags = report.diagnostics
-        elif args.tool in HYBRID_PROFILES:
-            from .fuzz.hybrid import run_hybrid
-
-            raw = run_hybrid(image, HYBRID_PROFILES[args.tool], seed,
-                             _parse_env(args.env), argv0=argv0)
-            solved = raw.solved and _triggers(raw.solution)
-            solution = raw.solution if solved else None
-            diags = raw.diagnostics
-        elif args.tool in SYMEX_PROFILES:
-            policy = SYMEX_PROFILES[args.tool]
-            engine = AngrEngine(image, policy)
-            raw = engine.explore(seed, argv0=argv0)
-            solution = None
-            with obs.span("replay", tool=args.tool):
-                for claim in raw.claimed_inputs:
-                    if _triggers(claim):
-                        solution = claim
-                        break
-            budget = policy.concrete_fallback_budget
-            if solution is None and budget > 0 and engine.opaque_concretized:
-                from .fuzz.mutator import cracking_candidates
-
-                with obs.span("concrete_fallback", tool=args.tool):
-                    for i, candidate in enumerate(cracking_candidates()):
-                        if i >= budget:
-                            break
-                        obs.count("symex.fallback_execs")
-                        if _triggers([candidate] + seed[1:]):
-                            solution = [candidate] + seed[1:]
-                            break
-            solved = solution is not None
-            diags = raw.diagnostics
-        else:
-            raise SystemExit(f"unknown tool {args.tool!r}")
-    if solved:
-        print("SOLVED:", [s.decode("latin1") for s in solution])
+        report = tool.analyze_bomb(target)
+    if report.solved:
+        print("SOLVED:", [s.decode("latin1") for s in report.solution])
+        if report.solution_env is not None:
+            print("with", " ".join(_env_flags(target.base_env(),
+                                              report.solution_env)))
         return 0
     print("not solved; diagnostics:")
-    for diag in diags:
+    for diag in report.diagnostics:
         print(f"  {diag}")
     return 1
 

@@ -16,7 +16,6 @@ from ..binfmt import Image
 from ..errors import DiagnosticKind, DiagnosticLog, SolverError
 from ..smt import IncrementalSolver
 from ..smt.solver import unsat_core
-from ..trace.record import Trace
 from ..trace.tracer import record_trace
 from ..vm import Environment
 from .policy import ToolPolicy

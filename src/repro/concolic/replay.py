@@ -34,7 +34,6 @@ from ..isa import Op, instruction_size
 from ..smt import Expr, mk_binop, mk_bool_not, mk_concat_many, mk_const, mk_eq, mk_extract, mk_sext, mk_var, mk_zext
 from ..vm import Environment, Machine
 from ..vm.cpu import Context, alu, bits_to_f32, bits_to_f64, u64
-from ..vm.machine import STACK_TOP
 from ..vm.syscalls import SIGRETURN_ADDR, THREAD_EXIT_ADDR, Sys
 from ..errors import SolverError
 from .policy import ToolPolicy
@@ -171,13 +170,32 @@ def _rp_move(stmt, pc, instr):
 
 
 def _rp_binop(stmt, pc, instr):
+    get_a, get_b, put = _rp_get(stmt.a), _rp_get(stmt.b), _rp_set(stmt.dst)
+    op, set_flags = stmt.op, stmt.set_flags
+    alu_name = {"lshr": "shr", "ashr": "sar"}.get(op, op)
+
     def h(rep, th, tmps, tid, box):
-        taken = rep._do_binop(th, tmps, stmt, pc)
-        if taken == "fault":
+        a_conc, a_sym = get_a(rep, th, tmps)
+        b_conc, b_sym = get_b(rep, th, tmps)
+        try:
+            res = alu(alu_name, a_conc, b_conc,
+                      th.ctx.flags if set_flags else None)
+        except VMError:
             th.faulted = True
             return True  # SignalEvent (or process death) follows
-        if taken:
+        res_sym = None
+        if a_sym is not None or b_sym is not None:
             box[1] = True
+            try:
+                res_sym = apply_binop(
+                    op, mk_const(a_conc, 64) if a_sym is None else a_sym,
+                    mk_const(b_conc, 64) if b_sym is None else b_sym)
+            except SolverError as err:
+                rep.diags.emit(DiagnosticKind.UNSUPPORTED_THEORY, str(err), pc)
+        if set_flags:
+            th.sym_flags = None if res_sym is None else (
+                "logic", res, res_sym, 0, None)
+        put(rep, th, tmps, res, res_sym)
         return False
     return h
 
@@ -406,9 +424,25 @@ def _rp_halt(stmt, pc, instr):
 
 
 def _rp_fpop(stmt, pc, instr):
+    getters = [_rp_get(src) for src in stmt.srcs]
+    put = _rp_set(stmt.dst)
+    op = stmt.op
+
     def h(rep, th, tmps, tid, box):
-        if rep._do_fpop(th, tmps, stmt, pc):
+        pairs = [get(rep, th, tmps) for get in getters]
+        conc_expr = apply_fp_op(op, [mk_const(c, 64) for c, _ in pairs])
+        assert conc_expr.is_const
+        res_sym = None
+        if any(sym is not None for _, sym in pairs):
             box[1] = True
+            if rep.policy.supports_fp:
+                res_sym = apply_fp_op(op, [
+                    mk_const(c, 64) if sym is None else sym
+                    for c, sym in pairs])
+            else:
+                rep.diags.emit(DiagnosticKind.LIFT_UNSUPPORTED,
+                               f"{op} not covered by the lifter", pc)
+        put(rep, th, tmps, conc_expr.value, res_sym)
         return False
     return h
 
@@ -597,39 +631,6 @@ class TraceReplayer:
                 for i in range(length, 8):
                     self._beyond_argv.add(addr + i)
 
-    # -- value plumbing -----------------------------------------------------------
-
-    def _get(self, th: _ShadowThread, tmps: dict, src) -> tuple[int, Expr | None]:
-        if isinstance(src, il.ConstRef):
-            return src.value & MASK64, None
-        if isinstance(src, il.RegRef):
-            return th.ctx.regs[src.index], th.sym_regs.get(src.index)
-        if isinstance(src, il.FRegRef):
-            return th.ctx.fregs[src.index], th.sym_fregs.get(src.index)
-        return tmps[src.index]
-
-    def _set(self, th: _ShadowThread, tmps: dict, dst, conc: int,
-             sym: Expr | None) -> None:
-        conc &= MASK64
-        if isinstance(dst, il.RegRef):
-            th.ctx.regs[dst.index] = conc
-            if sym is None:
-                th.sym_regs.pop(dst.index, None)
-            else:
-                th.sym_regs[dst.index] = sym
-        elif isinstance(dst, il.FRegRef):
-            th.ctx.fregs[dst.index] = conc
-            if sym is None:
-                th.sym_fregs.pop(dst.index, None)
-            else:
-                th.sym_fregs[dst.index] = sym
-        else:
-            tmps[dst.index] = (conc, sym)
-
-    @staticmethod
-    def _expr_of(conc: int, sym: Expr | None, width: int = 64) -> Expr:
-        return sym if sym is not None else mk_const(conc, width)
-
     # -- memory ----------------------------------------------------------------------
 
     def _mem_load(self, th, addr: int, width: int, signed: bool,
@@ -739,60 +740,6 @@ class TraceReplayer:
             if self._prov is not None:
                 self._prov.record_taint(pc, instr.op.name.lower(),
                                         self.result.total_instructions - 1)
-
-    def _do_binop(self, th, tmps, stmt: il.BinOp, pc: int):
-        from ..vm.cpu import alu as _alu
-
-        a_conc, a_sym = self._get(th, tmps, stmt.a)
-        b_conc, b_sym = self._get(th, tmps, stmt.b)
-        alu_name = {"lshr": "shr", "ashr": "sar"}.get(stmt.op, stmt.op)
-        try:
-            res = _alu(alu_name, a_conc, b_conc,
-                       th.ctx.flags if stmt.set_flags else None)
-        except VMError:
-            return "fault"
-        res_sym = None
-        if a_sym is not None or b_sym is not None:
-            a_expr = self._expr_of(a_conc, a_sym)
-            b_expr = self._expr_of(b_conc, b_sym)
-            try:
-                res_sym = apply_binop(stmt.op, a_expr, b_expr)
-            except SolverError as err:
-                self.diags.emit(DiagnosticKind.UNSUPPORTED_THEORY, str(err), pc)
-                res_sym = None
-        if stmt.set_flags:
-            if res_sym is None:
-                th.sym_flags = None
-            else:
-                th.sym_flags = ("logic", res, res_sym, 0, None)
-        self._set(th, tmps, stmt.dst, res, res_sym)
-        return a_sym is not None or b_sym is not None
-
-    def _do_fpop(self, th, tmps, stmt: il.FpOp, pc: int) -> bool:
-        concs = []
-        syms = []
-        for src in stmt.srcs:
-            conc, sym = self._get(th, tmps, src)
-            concs.append(conc)
-            syms.append(sym)
-        conc_expr = apply_fp_op(stmt.op, [mk_const(c, 64) for c in concs])
-        assert conc_expr.is_const
-        any_sym = any(s is not None for s in syms)
-        res_sym = None
-        if any_sym:
-            if self.policy.supports_fp:
-                res_sym = apply_fp_op(
-                    stmt.op,
-                    [self._expr_of(c, s) for c, s in zip(concs, syms)],
-                )
-            else:
-                self.diags.emit(
-                    DiagnosticKind.LIFT_UNSUPPORTED,
-                    f"{stmt.op} not covered by the lifter",
-                    pc,
-                )
-        self._set(th, tmps, stmt.dst, conc_expr.value, res_sym)
-        return any_sym
 
     def _branch_constraint(self, th, stmt: il.CondBranch, taken: bool,
                            pc: int) -> None:

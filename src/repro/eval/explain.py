@@ -25,7 +25,6 @@ from .. import obs
 from ..obs import session
 from ..obs.provenance import ProvenanceCollector
 from ..bombs.suite import Bomb
-from ..errors import ErrorStage
 from .classify import describe_outcome
 from .harness import CellResult, run_cell
 

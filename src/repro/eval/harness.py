@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..obs import session
-from ..bombs import TABLE2_BOMB_IDS, TOOL_COLUMNS, all_bombs, get_bomb
+from ..bombs import TABLE2_BOMB_IDS, TOOL_COLUMNS, get_bomb
 from ..bombs.suite import Bomb
 from ..errors import ErrorStage
 from ..tools.api import ToolReport, get_tool

@@ -17,9 +17,7 @@ from ..isa import COND_BRANCHES, LOAD_INFO, STORE_INFO, Imm, Instruction, Op
 from ..smt import (
     Expr,
     mk_binop,
-    mk_bool_and,
     mk_bool_not,
-    mk_bool_or,
     mk_cmp,
     mk_const,
     mk_eq,

@@ -39,7 +39,8 @@ LIFT_SCHEMA = 1
 MAX_BLOCK = 64
 
 #: IL statements that transfer or end control; a superblock never
-#: contains one (the generic per-instruction path handles them).
+#: contains one.  An instruction that does runs on its own (the
+#: explorer compiles it into a one-entry program).
 TERMINATORS = (il.CondBranch, il.Jump, il.Call, il.Ret, il.Syscall,
                il.Halt, il.DivGuard)
 
@@ -150,7 +151,7 @@ class LiftCache:
         *fetch* maps a pc to a decoded :class:`Instruction` or ``None``
         when the address is not decodable code.  ``None`` is returned
         (and cached) when the instruction at *pc* is itself a
-        terminator — the per-instruction path owns it.
+        terminator, or not decodable; the caller runs it on its own.
         """
         block = self.blocks.get(pc, _MISSING)
         if block is not _MISSING:

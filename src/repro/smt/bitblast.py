@@ -15,7 +15,7 @@ width (no wraparound), matching how the bombs use them (``v / 100``,
 from __future__ import annotations
 
 from ..errors import SolverError
-from .expr import Expr, FP_OPS, to_signed
+from .expr import Expr, FP_OPS
 from .sat import SatSolver
 
 

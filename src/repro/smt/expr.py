@@ -16,7 +16,6 @@ a symbolic engine collapses to constants instead of growing terms.
 from __future__ import annotations
 
 import math
-import struct
 from typing import Iterable
 
 from ..errors import SolverError

@@ -3,11 +3,11 @@
 Two pieces, both serving the same goal — stop re-deriving work the
 engine has already done once:
 
-* :func:`compile_stmts` turns a straight-line IL statement list into a
+* :func:`compile_stmts` turns an instruction's IL statements into a
   list of handler closures (one bound callable per statement, operand
-  accessors specialized at compile time), so superblock execution
-  dispatches ``handler(engine, state, tmps)`` instead of walking an
-  ``isinstance`` chain per statement.
+  accessors specialized at compile time).  Every statement kind has a
+  compiler, so the explorer runs every step — a superblock or a lone
+  terminator — as ``handler(engine, state, tmps)`` calls.
 
 * :class:`PathSolver` is the engine's solver front-end.  A
   satisfiability check builds a fresh :class:`repro.smt.Solver` per
@@ -72,7 +72,7 @@ def _setter(dst):
     return set_tmp
 
 
-def _c_move(stmt):
+def _c_move(stmt, instr):
     get, put = _getter(stmt.src), _setter(stmt.dst)
 
     def h(eng, state, tmps):
@@ -80,7 +80,7 @@ def _c_move(stmt):
     return h
 
 
-def _c_binop(stmt):
+def _c_binop(stmt, instr):
     get_a, get_b, put = _getter(stmt.a), _getter(stmt.b), _setter(stmt.dst)
     op, set_flags = stmt.op, stmt.set_flags
 
@@ -93,7 +93,7 @@ def _c_binop(stmt):
     return h
 
 
-def _c_unop(stmt):
+def _c_unop(stmt, instr):
     get, put = _getter(stmt.a), _setter(stmt.dst)
     set_flags = stmt.set_flags
     ones = mk_const(MASK64, 64)
@@ -106,7 +106,7 @@ def _c_unop(stmt):
     return h
 
 
-def _c_lea(stmt):
+def _c_lea(stmt, instr):
     get, put = _getter(stmt.base), _setter(stmt.dst)
     disp = mk_const(stmt.disp, 64)
 
@@ -115,7 +115,7 @@ def _c_lea(stmt):
     return h
 
 
-def _c_load(stmt):
+def _c_load(stmt, instr):
     get, put = _getter(stmt.addr), _setter(stmt.dst)
     width, signed = stmt.width, stmt.signed
 
@@ -125,7 +125,7 @@ def _c_load(stmt):
     return h
 
 
-def _c_store(stmt):
+def _c_store(stmt, instr):
     get_addr, get_val = _getter(stmt.addr), _getter(stmt.value)
     width = stmt.width
 
@@ -135,7 +135,7 @@ def _c_store(stmt):
     return h
 
 
-def _c_setflags(stmt):
+def _c_setflags(stmt, instr):
     get_a, get_b = _getter(stmt.a), _getter(stmt.b)
     kind = stmt.kind
 
@@ -144,7 +144,7 @@ def _c_setflags(stmt):
     return h
 
 
-def _c_push(stmt):
+def _c_push(stmt, instr):
     get = _getter(stmt.src)
 
     def h(eng, state, tmps):
@@ -155,7 +155,7 @@ def _c_push(stmt):
     return h
 
 
-def _c_pop(stmt):
+def _c_pop(stmt, instr):
     put = _setter(stmt.dst)
 
     def h(eng, state, tmps):
@@ -166,7 +166,7 @@ def _c_pop(stmt):
     return h
 
 
-def _c_fpop(stmt):
+def _c_fpop(stmt, instr):
     getters = [_getter(s) for s in stmt.srcs]
     put = _setter(stmt.dst)
     op = stmt.op
@@ -177,12 +177,67 @@ def _c_fpop(stmt):
     return h
 
 
-def _c_fpflags(stmt):
-    get_a, get_b = _getter(stmt.a), _getter(stmt.b)
-    kind = stmt.kind
+# The terminators below (superblock.TERMINATORS) bind the instruction
+# they were lifted from.  A control transfer sets ``state.pc`` as its
+# last act; a fork is appended to ``eng._forks``, which ends the quantum.
+
+def _c_condbranch(stmt, instr):
+    def h(eng, state, tmps):
+        eng._forks.extend(eng._cond_branch(state, stmt, instr))
+    return h
+
+
+def _c_jump(stmt, instr):
+    get = _getter(stmt.target)
 
     def h(eng, state, tmps):
-        state.flags = (kind, get_a(eng, state, tmps), get_b(eng, state, tmps))
+        target = get(eng, state, tmps)
+        if not target.is_const and eng.policy.enumerate_jumps:
+            eng._forks.extend(eng._enumerated_jump(state, target))
+        else:
+            state.pc = eng._jump_target(state, target)
+    return h
+
+
+def _c_call(stmt, instr):
+    get = _getter(stmt.target)
+    ret = mk_const(stmt.return_addr, 64)
+
+    def h(eng, state, tmps):
+        target = eng._jump_target(state, get(eng, state, tmps))
+        sp = eng._conc_sp(state)
+        state.regs[15] = mk_const((sp - 8) & MASK64, 64)
+        state.write_concrete_mem(sp - 8, ret, 8)
+        state.pc = target
+    return h
+
+
+def _c_ret(stmt, instr):
+    def h(eng, state, tmps):
+        sp = eng._conc_sp(state)
+        target = state.read_concrete_mem(sp, 8)
+        state.regs[15] = mk_const((sp + 8) & MASK64, 64)
+        state.pc = eng._jump_target(state, target)
+    return h
+
+
+def _c_syscall(stmt, instr):
+    def h(eng, state, tmps):
+        eng.syscalls.dispatch(state)
+    return h
+
+
+def _c_halt(stmt, instr):
+    def h(eng, state, tmps):
+        state.alive = False
+    return h
+
+
+def _c_divguard(stmt, instr):
+    get = _getter(stmt.divisor)
+
+    def h(eng, state, tmps):
+        eng._div_guard(state, get(eng, state, tmps), instr)
     return h
 
 
@@ -197,23 +252,28 @@ _COMPILERS = {
     il.Push: _c_push,
     il.Pop: _c_pop,
     il.FpOp: _c_fpop,
-    il.FpFlags: _c_fpflags,
+    il.FpFlags: _c_setflags,
+    il.CondBranch: _c_condbranch,
+    il.Jump: _c_jump,
+    il.Call: _c_call,
+    il.Ret: _c_ret,
+    il.Syscall: _c_syscall,
+    il.Halt: _c_halt,
+    il.DivGuard: _c_divguard,
 }
 
+#: Statements whose handler sets ``state.pc`` itself.
+TRANSFERS = (il.CondBranch, il.Jump, il.Call, il.Ret)
 
-def compile_stmts(stmts) -> list | None:
-    """Handler closures for a straight-line statement list.
 
-    Returns ``None`` when any statement needs the generic
-    per-instruction path (control flow, syscalls, division guards).
+def compile_stmts(stmts, instr=None) -> list:
+    """Handler closures for one instruction's IL statements.
+
+    Every statement kind compiles.  *instr* is the instruction the
+    statements were lifted from; only the terminators read it, so a
+    superblock's straight-line entries compile without one.
     """
-    handlers = []
-    for stmt in stmts:
-        compiler = _COMPILERS.get(type(stmt))
-        if compiler is None:
-            return None
-        handlers.append(compiler(stmt))
-    return handlers
+    return [_COMPILERS[type(stmt)](stmt, instr) for stmt in stmts]
 
 
 # -- per-engine solving front-end -------------------------------------------

@@ -19,11 +19,10 @@ from ..obs import profile, session
 from ..binfmt import Image
 from ..errors import DiagnosticKind, DiagnosticLog, EngineError, SolverError
 from ..ir import il, superblock
-from ..ir.lifter import apply_binop, apply_fp_op, flag_condition
+from ..ir.lifter import apply_binop, flag_condition
 from ..isa import Instruction
 from ..smt import (
     Expr,
-    Solver,
     eval_expr,
     mk_bool_not,
     mk_bool_or,
@@ -32,15 +31,13 @@ from ..smt import (
     mk_var,
 )
 from ..vm.machine import STACK_TOP
-from .cache import PathSolver, compile_stmts
+from .cache import TRANSFERS, PathSolver, compile_stmts
 from .policy import SymexPolicy
 from .simprocedures import SIMPROCEDURES
 from .state import SymState
 from .syscall_model import SyscallModel
 
 MASK64 = (1 << 64) - 1
-
-_MISSING = object()
 
 
 class EngineAbort(Exception):
@@ -79,12 +76,14 @@ class AngrEngine:
         # reads the same one).
         self._code = image.decoded
         # Shared execution cache: lifted IL and superblocks live for the
-        # process, keyed by the image digest; compiled handler lists are
-        # engine-local (they close over nothing but are truncated at this
-        # engine's hook addresses).
+        # process, keyed by the image digest; compiled programs are
+        # engine-local (superblocks are truncated at this engine's hook
+        # addresses).  pc -> (entries, 1 for a superblock else 0).
         self._cache = superblock.cache_for(image)
-        self._compiled: dict[int, list | None] = {}
+        self._compiled: dict[int, tuple[list, int]] = {}
         self._solver = PathSolver(policy)
+        #: Forks made by the running quantum's terminator handlers.
+        self._forks: list[SymState] = []
         self._sb_hits = 0
         self._sb_misses = 0
         # Per-PC symbolic step tally; exists only while an attribution
@@ -298,11 +297,9 @@ class AngrEngine:
 
     def _check(self, state: SymState, extra: list[Expr]):
         self.queries += 1
-        solver = Solver(self.policy.solver_conflicts, self.policy.solver_clauses,
-                        self.policy.solver_nodes)
-        solver.extend(state.constraints)
         with obs.span("solve", pc=state.pc, tool=self.policy.name):
-            return solver.check(extra, tag=(state.pc, "explore"))
+            return self._solver.check(state.constraints, extra,
+                                      tag=(state.pc, "explore"))
 
     def _ensure_model(self, state: SymState) -> None:
         for c in state.constraints:
@@ -373,42 +370,46 @@ class AngrEngine:
 
     def _block_fetch(self, pc: int) -> Instruction | None:
         """Non-raising fetch used while *building* superblocks: a pc
-        outside mapped code just ends the block (the generic path raises
+        outside mapped code just ends the block (:meth:`_fetch` raises
         if execution actually reaches it)."""
         instr = self._code.get(pc)
         return instr if instr is not None else self.image.decode_at(pc)
 
-    def _block_at(self, pc: int) -> list | None:
-        """Compiled handler entries for the superblock at *pc*, or None.
+    def _program_at(self, pc: int) -> list:
+        """Compiled ``(pc, next_pc, handlers)`` entries starting at *pc*.
 
-        Entries are ``(pc, next_pc, handlers)`` triples; the list is
-        truncated before the first hooked address (no-lib mode) so the
-        per-instruction path runs the simprocedure.
+        The superblock at *pc*, truncated before the first hooked
+        address (no-lib mode) so the hook runs its simprocedure; or,
+        when *pc* holds a terminator, that one instruction, compiled
+        once (``next_pc`` is None when its handler transfers control).
         """
-        compiled = self._compiled.get(pc, _MISSING)
-        if compiled is not _MISSING:
-            return compiled
+        compiled = self._compiled.get(pc)
+        if compiled is None:
+            compiled = self._compiled[pc] = self._compile_at(pc)
+        entries, hit = compiled
+        self._sb_hits += hit
+        return entries
+
+    def _compile_at(self, pc: int) -> tuple[list, int]:
         if pc not in self._cache.blocks:
             self._sb_misses += 1  # shared-cache build, not a local recompile
         block = self._cache.block_at(pc, self._block_fetch)
-        entries: list | None = None
-        if block is not None:
-            hooks = self.hooks
-            acc = []
-            for epc, enext, stmts in block.entries:
-                if hooks and epc in hooks:
-                    break
-                handlers = compile_stmts(stmts)
-                if handlers is None:
-                    break
-                acc.append((epc, enext, handlers))
-            entries = acc or None
-        self._compiled[pc] = entries
-        return entries
+        if block is None:
+            instr = self._fetch(pc)
+            stmts, _ = self._cache.lift_for(instr)
+            transfers = any(isinstance(s, TRANSFERS) for s in stmts)
+            return [(pc, None if transfers else instr.next_addr,
+                     compile_stmts(stmts, instr))], 0
+        entries = []
+        for epc, enext, stmts in block.entries:
+            if epc in self.hooks:
+                break
+            entries.append((epc, enext, compile_stmts(stmts)))
+        return entries, 1
 
     def _exec_block(self, state: SymState, entries: list, budget: int) -> int:
-        """Dispatch up to *budget* cached instructions; returns how many
-        actually ran (a dying state stops the block mid-way)."""
+        """Dispatch up to *budget* compiled instructions; returns how
+        many actually ran (a dying state stops the block mid-way)."""
         executed = 0
         pcs = self._prof_pcs
         for pc, next_pc, handlers in entries:
@@ -424,34 +425,22 @@ class AngrEngine:
                     return executed + 1
             state.steps += 1
             executed += 1
-            state.pc = next_pc
+            if next_pc is not None:
+                state.pc = next_pc
         return executed
 
     def _run_quantum(self, state: SymState) -> list[SymState]:
-        forks: list[SymState] = []
+        forks = self._forks = []
         remaining = self.policy.step_quantum
-        while remaining > 0:
-            if not state.alive or state.goal:
-                break
+        while remaining > 0 and state.alive and not state.goal:
             hook = self.hooks.get(state.pc)
             if hook is not None:
                 self._run_hook(state, hook)
                 remaining -= 1
                 continue
-            entries = self._block_at(state.pc)
-            if entries is not None:
-                self._sb_hits += 1
-                remaining -= self._exec_block(state, entries, remaining)
-                continue
-            pcs = self._prof_pcs
-            if pcs is not None:
-                pcs[state.pc] = pcs.get(state.pc, 0) + 1
-            instr = self._fetch(state.pc)
-            new_forks = self._execute(state, instr)
-            state.steps += 1
-            remaining -= 1
-            if new_forks:
-                forks.extend(new_forks)
+            remaining -= self._exec_block(state, self._program_at(state.pc),
+                                          remaining)
+            if forks:
                 break  # let the scheduler rotate after a fork
         return forks
 
@@ -475,153 +464,10 @@ class AngrEngine:
         if not ret_addr.is_const:
             raise EngineAbort(DiagnosticKind.ENGINE_CRASH, "symbolic return address")
         state.set_reg(15, mk_const((sp + 8) & MASK64, 64))
-        if state.callstack:
-            state.callstack = state.callstack[:-1]
         state.pc = ret_addr.value
         state.steps += 1
 
-    # -- IL interpretation ------------------------------------------------------------
-
-    def _execute(self, state: SymState, instr: Instruction) -> list[SymState]:
-        tmps: dict[int, Expr] = {}
-        next_pc = instr.next_addr
-        forks: list[SymState] = []
-
-        stmts, _fresh = self._cache.lift_for(instr)
-        for stmt in stmts:
-            if isinstance(stmt, il.Move):
-                self._set(state, tmps, stmt.dst, self._get(state, tmps, stmt.src))
-            elif isinstance(stmt, il.BinOp):
-                a = self._get(state, tmps, stmt.a)
-                b = self._get(state, tmps, stmt.b)
-                result = self._binop(state, stmt.op, a, b)
-                if stmt.set_flags:
-                    state.flags = ("logic", result, None)
-                self._set(state, tmps, stmt.dst, result)
-            elif isinstance(stmt, il.UnOp):
-                a = self._get(state, tmps, stmt.a)
-                result = apply_binop("xor", a, mk_const(MASK64, 64))
-                if stmt.set_flags:
-                    state.flags = ("logic", result, None)
-                self._set(state, tmps, stmt.dst, result)
-            elif isinstance(stmt, il.Lea):
-                base = self._get(state, tmps, stmt.base)
-                self._set(state, tmps, stmt.dst,
-                          apply_binop("add", base, mk_const(stmt.disp, 64)))
-            elif isinstance(stmt, il.Load):
-                addr = self._get(state, tmps, stmt.addr)
-                self._set(state, tmps, stmt.dst,
-                          self._load(state, addr, stmt.width, stmt.signed))
-            elif isinstance(stmt, il.Store):
-                addr = self._get(state, tmps, stmt.addr)
-                value = self._get(state, tmps, stmt.value)
-                self._store(state, addr, value, stmt.width)
-            elif isinstance(stmt, il.SetFlags):
-                a = self._get(state, tmps, stmt.a)
-                b = self._get(state, tmps, stmt.b)
-                state.flags = (stmt.kind, a, b)
-            elif isinstance(stmt, il.CondBranch):
-                return self._cond_branch(state, stmt, instr)
-            elif isinstance(stmt, il.Jump):
-                target = self._get(state, tmps, stmt.target)
-                if not target.is_const and self.policy.enumerate_jumps:
-                    return self._enumerated_jump(state, target)
-                next_pc = self._jump_target(state, target)
-            elif isinstance(stmt, il.Call):
-                target = self._get(state, tmps, stmt.target)
-                resolved = self._jump_target(state, target)
-                sp = self._conc_sp(state)
-                state.set_reg(15, mk_const((sp - 8) & MASK64, 64))
-                state.write_concrete_mem(sp - 8, mk_const(stmt.return_addr, 64), 8)
-                state.callstack = state.callstack + (stmt.return_addr,)
-                next_pc = resolved
-            elif isinstance(stmt, il.Ret):
-                sp = self._conc_sp(state)
-                target = state.read_concrete_mem(sp, 8)
-                state.set_reg(15, mk_const((sp + 8) & MASK64, 64))
-                if state.callstack:
-                    state.callstack = state.callstack[:-1]
-                next_pc = self._jump_target(state, target)
-            elif isinstance(stmt, il.Push):
-                value = self._get(state, tmps, stmt.src)
-                sp = self._conc_sp(state)
-                state.set_reg(15, mk_const((sp - 8) & MASK64, 64))
-                state.write_concrete_mem(sp - 8, value, 8)
-            elif isinstance(stmt, il.Pop):
-                sp = self._conc_sp(state)
-                value = state.read_concrete_mem(sp, 8)
-                state.set_reg(15, mk_const((sp + 8) & MASK64, 64))
-                self._set(state, tmps, stmt.dst, value)
-            elif isinstance(stmt, il.Syscall):
-                self.syscalls.dispatch(state)
-                if not state.alive:
-                    return forks
-            elif isinstance(stmt, il.Halt):
-                state.alive = False
-                return forks
-            elif isinstance(stmt, il.FpOp):
-                args = [self._get(state, tmps, s) for s in stmt.srcs]
-                self._set(state, tmps, stmt.dst, apply_fp_op(stmt.op, args))
-            elif isinstance(stmt, il.FpFlags):
-                a = self._get(state, tmps, stmt.a)
-                b = self._get(state, tmps, stmt.b)
-                state.flags = (stmt.kind, a, b)
-            elif isinstance(stmt, il.DivGuard):
-                divisor = self._get(state, tmps, stmt.divisor)
-                if (not divisor.is_const and self.policy.model_signals
-                        and state.sig_handler is not None):
-                    fault = self._fork_fault_state(state, divisor, instr)
-                    if fault is not None:
-                        forks.append(fault)
-                    state.add_constraint(
-                        mk_bool_not(mk_eq(divisor, mk_const(0, 64)))
-                    )
-                    self._ensure_model(state)
-                elif not divisor.is_const:
-                    self.diags.emit(
-                        DiagnosticKind.CONCRETIZED_ENV,
-                        "division fault edge dropped (divisor constrained nonzero)",
-                        instr.addr,
-                    )
-                    state.add_constraint(
-                        mk_bool_not(mk_eq(divisor, mk_const(0, 64)))
-                    )
-                    self._ensure_model(state)
-                elif divisor.value == 0:
-                    # Concrete fault with no signal modeling: dead path.
-                    self.diags.emit(
-                        DiagnosticKind.CONCRETIZED_ENV,
-                        "concrete division fault; state killed",
-                        instr.addr,
-                    )
-                    state.alive = False
-                    return forks
-            else:  # pragma: no cover
-                raise EngineAbort(DiagnosticKind.ENGINE_CRASH,
-                                  f"unhandled IL stmt {stmt}")
-            if not state.alive:
-                return forks
-        state.pc = next_pc
-        return forks
-
     # -- operand plumbing ---------------------------------------------------------
-
-    def _get(self, state: SymState, tmps: dict, src) -> Expr:
-        if isinstance(src, il.ConstRef):
-            return mk_const(src.value, 64)
-        if isinstance(src, il.RegRef):
-            return state.regs[src.index]
-        if isinstance(src, il.FRegRef):
-            return state.fregs[src.index]
-        return tmps[src.index]
-
-    def _set(self, state: SymState, tmps: dict, dst, expr: Expr) -> None:
-        if isinstance(dst, il.RegRef):
-            state.regs[dst.index] = expr
-        elif isinstance(dst, il.FRegRef):
-            state.fregs[dst.index] = expr
-        else:
-            tmps[dst.index] = expr
 
     def _conc_sp(self, state: SymState) -> int:
         sp = state.get_reg(15)
@@ -757,6 +603,32 @@ class AngrEngine:
         state.add_constraint(primary_cond)
         state.pc = primary_pc
         return forks
+
+    def _div_guard(self, state: SymState, divisor: Expr,
+                   instr: Instruction) -> None:
+        """The implicit division-by-zero guard ahead of a division."""
+        if divisor.is_const:
+            if divisor.value == 0:
+                # Concrete fault with no signal modeling: dead path.
+                self.diags.emit(
+                    DiagnosticKind.CONCRETIZED_ENV,
+                    "concrete division fault; state killed",
+                    instr.addr,
+                )
+                state.alive = False
+            return
+        if self.policy.model_signals and state.sig_handler is not None:
+            fault = self._fork_fault_state(state, divisor, instr)
+            if fault is not None:
+                self._forks.append(fault)
+        else:
+            self.diags.emit(
+                DiagnosticKind.CONCRETIZED_ENV,
+                "division fault edge dropped (divisor constrained nonzero)",
+                instr.addr,
+            )
+        state.add_constraint(mk_bool_not(mk_eq(divisor, mk_const(0, 64))))
+        self._ensure_model(state)
 
     def _fp_branch(self, state: SymState, cond: Expr, taken_pc: int,
                    fall_pc: int, pc: int) -> list[SymState]:

@@ -17,7 +17,7 @@ the argument-register expressions, and returns the result expression
 from __future__ import annotations
 
 from ..errors import DiagnosticKind
-from ..smt import Expr, mk_binop, mk_bool_and, mk_bool_or, mk_cmp, mk_const, mk_eq, mk_ite, mk_neg, mk_var, mk_zext
+from ..smt import Expr, mk_binop, mk_bool_and, mk_cmp, mk_const, mk_eq, mk_ite, mk_neg, mk_var, mk_zext
 
 
 def _is_digit(byte: Expr) -> Expr:

@@ -20,20 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..binfmt import Image
-from ..errors import DiagnosticKind, DiagnosticLog, SolverError
-from ..smt import (
-    Expr,
-    Solver,
-    eval_expr,
-    mk_concat_many,
-    mk_const,
-    mk_eq,
-    mk_extract,
-    mk_ite,
-    mk_sext,
-    mk_var,
-    mk_zext,
-)
+from ..errors import SolverError
+from ..smt import Expr, eval_expr, mk_concat_many, mk_const, mk_extract
 
 MASK64 = (1 << 64) - 1
 
@@ -96,10 +84,6 @@ class SymState:
         self.fp_constraints: list[Expr] = []  # FP conditions (fp_search mode)
         self.mailbox: list[Expr] = []         # kernel mailbox model (REXX)
         self.sig_handler: int | None = None   # registered SIGFPE handler
-        #: Return addresses of the active call chain (maintained by the
-        #: explorer's Call/Ret handling); states only merge at a
-        #: post-dominator when their call stacks are identical.
-        self.callstack: tuple[int, ...] = ()
         #: Opaque library calls concretized along this path, in call
         #: order (sandshrew mode).  Stateful functions (srand/rand) are
         #: re-executed by replaying this log in a fresh machine.
@@ -141,7 +125,6 @@ class SymState:
         other.fp_constraints = list(self.fp_constraints)
         other.mailbox = list(self.mailbox)
         other.sig_handler = self.sig_handler
-        other.callstack = self.callstack
         other.opaque_calls = self.opaque_calls
         other._image_bytes = self._image_bytes
         return other

@@ -53,7 +53,6 @@ from .filesystem import FileHandle, FileSystem, Pipe, PipeEnd, StdStream
 from .memory import Memory
 from .syscalls import (
     BOMB_EXIT_CODE,
-    SIGFPE,
     SIGRETURN_ADDR,
     THREAD_EXIT_ADDR,
     Sys,

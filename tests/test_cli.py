@@ -90,6 +90,28 @@ class TestSolve:
         assert main(["solve", str(binary), "--tool", "bapx"]) == 1
         assert "diagnostics" in capsys.readouterr().out
 
+    def test_solve_prints_the_claimed_environment(self, tmp_path, capsys):
+        import ast
+        import shlex
+
+        from repro.bombs import get_bomb
+
+        binary = tmp_path / "sv_time.rexf"
+        binary.write_bytes(get_bomb("sv_time").image.to_bytes())
+        assert main(["solve", str(binary), "--tool", "rexx"]) == 0
+        solved, env = capsys.readouterr().out.splitlines()
+        argv = ast.literal_eval(solved.removeprefix("SOLVED: "))
+        flags = shlex.split(env.removeprefix("with "))
+        assert flags[0] == "--env" and flags[1].startswith("time=")
+        assert main(["run", str(binary), *argv]) == 0
+        assert "[bomb triggered]" not in capsys.readouterr().err
+        assert main(["run", str(binary), *argv, *flags]) == 42
+        assert "[bomb triggered]" in capsys.readouterr().err
+
+    def test_solve_rejects_an_unknown_tool(self, crackme):
+        with pytest.raises(SystemExit, match="unknown tool 'nope'"):
+            main(["solve", str(crackme), "--tool", "nope"])
+
 
 class TestMetrics:
     def test_solve_metrics_out(self, crackme, tmp_path, capsys):

@@ -4,9 +4,15 @@ import pytest
 
 from repro.bombs import get_bomb
 from repro.errors import DiagnosticKind
-from repro.lang import compile_single
+from repro.ir import il
+from repro.isa import Instruction, Op
+from repro.lang import compile_single, compile_sources
 from repro.smt import eval_expr, mk_const, mk_var
-from repro.symex import AngrEngine, SymexPolicy, SymState, sym_atoi, sym_strlen
+from repro.symex import (
+    AngrEngine, EngineAbort, SymexPolicy, SymState, sym_atoi, sym_strlen)
+from repro.symex.cache import compile_stmts
+from repro.tools.profiles import SYMEX_PROFILES
+from repro.vm import Machine
 
 
 def _fast_policy(**kw):
@@ -206,3 +212,161 @@ class TestRexxCapabilities:
         report = get_tool("rexx").analyze_bomb(bomb)
         assert report.solved
         assert bomb.triggers(report.solution)
+
+
+# -- compiled statement handlers ----------------------------------------------
+
+_R, _T, _C = il.RegRef(1), il.TmpRef(0), il.ConstRef(8)
+
+#: One instance of every IL statement kind.
+_STMT_SAMPLES = {
+    il.Move: il.Move(_R, _C),
+    il.BinOp: il.BinOp("add", _R, _R, _C, set_flags=True),
+    il.UnOp: il.UnOp("bvnot", _R, _R),
+    il.Load: il.Load(_R, _T, 4, signed=True),
+    il.Store: il.Store(_T, _R, 8),
+    il.Lea: il.Lea(_T, _R, 16),
+    il.SetFlags: il.SetFlags("sub", _R, _C),
+    il.CondBranch: il.CondBranch("jz", 0x1000),
+    il.Jump: il.Jump(_R),
+    il.Call: il.Call(_C, 0x1005),
+    il.Ret: il.Ret(),
+    il.Push: il.Push(_R),
+    il.Pop: il.Pop(_R),
+    il.Syscall: il.Syscall(),
+    il.Halt: il.Halt(),
+    il.FpOp: il.FpOp("fadd64", il.FRegRef(0), (il.FRegRef(0), il.FRegRef(1))),
+    il.FpFlags: il.FpFlags("fcmp64", il.FRegRef(0), il.FRegRef(1)),
+    il.DivGuard: il.DivGuard(_R),
+}
+
+
+def _concrete_stmt_kinds(cls=il.Stmt):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_stmt_kinds(sub)
+
+
+class TestCompiledHandlers:
+    @pytest.mark.parametrize("kind", sorted(_concrete_stmt_kinds(),
+                                            key=lambda k: k.__name__),
+                             ids=lambda k: k.__name__)
+    def test_every_stmt_kind_compiles_to_a_handler(self, kind):
+        assert kind in _STMT_SAMPLES, f"add a sample {kind.__name__} here"
+        instr = Instruction(Op.NOP, (), 0x1000)
+        (handler,) = compile_stmts([_STMT_SAMPLES[kind]], instr)
+        assert callable(handler)
+
+
+#: Four 16-byte blocks (movi 10 + ret 1 + 5 nops); ``pick`` jumps to
+#: block ``r1``, which returns its own index.
+_JUMP_GADGET = """
+.text
+.global pick
+pick:
+    muli r1, 16
+    movi r2, pick_blocks
+    add r2, r1
+    jmpr r2
+pick_blocks:
+""" + "".join(f"    movi r0, {k}\n    ret\n" + "    nop\n" * 5
+              for k in range(4))
+
+_SIGFPE_DIV = r"""
+int g = 0;
+int handler(int signo) { g = 1; return 0; }
+int main(int argc, char **argv) {
+    signal(8, handler);
+    int v = argv[1][0] - 48;
+    int q = 100 / v;
+    if (g == 1) { bomb(); }
+    return q - q;
+}
+"""
+
+
+class TestTerminators:
+    def test_symbolic_jump_forks_one_state_per_code_target(self):
+        image = compile_sources(
+            [("jump.bc", "int main(int argc, char **argv) {"
+                         " int v = argv[1][0] - 48;"
+                         " if (v < 0 || v > 3) { return 1; }"
+                         " if (pick(v) == 2) { bomb(); } return 0; }")],
+            asm_modules=[("pick.s", _JUMP_GADGET)])
+        engine = AngrEngine(image, _fast_policy(enumerate_jumps=True))
+        targets = []
+        enumerate_jump = engine._enumerated_jump
+
+        def observed(state, target):
+            forks = enumerate_jump(state, target)
+            targets.append(sorted([state.pc] + [f.pc for f in forks]))
+            return forks
+
+        engine._enumerated_jump = observed
+        report = engine.explore([b"0"], argv0=b"x")
+        blocks = image.symbols["pick_blocks"].addr
+        assert targets == [[blocks, blocks + 16, blocks + 32, blocks + 48]]
+        assert report.claimed_inputs == [[b"2"]]
+
+    def test_symbolic_divisor_forks_into_the_sigfpe_handler(self):
+        image = compile_single(_SIGFPE_DIV)
+        report = AngrEngine(image, _fast_policy(model_signals=True)).explore(
+            [b"5"], argv0=b"x")
+        assert report.states_explored == 2
+        assert report.claimed_inputs == [[b"0"]]
+        assert Machine(image, [b"x", b"0"]).run().bomb_triggered
+        assert not any("fault edge dropped" in str(d)
+                       for d in report.diagnostics)
+
+    def test_without_signal_modelling_the_fault_edge_is_dropped(self):
+        image = compile_single(
+            "int main(int argc, char **argv) {"
+            " int q = 100 / (argv[1][0] - 48);"
+            " if (q == 20) { bomb(); } return 0; }")
+        report = AngrEngine(image, _fast_policy()).explore([b"5"], argv0=b"x")
+        assert report.claimed_inputs == [[b"5"]]
+        assert any("division fault edge dropped" in str(d)
+                   for d in report.diagnostics)
+
+    def test_a_pc_outside_code_aborts_the_engine(self):
+        image = compile_single("int main(int argc, char **argv) { return 0; }")
+        engine = AngrEngine(image, _fast_policy())
+        with pytest.raises(EngineAbort,
+                           match="execution left mapped code at 0x50000"):
+            engine._program_at(0x50000)
+
+    def test_concrete_zero_divisor_kills_the_state(self):
+        image = compile_single(
+            "int main(int argc, char **argv) {"
+            " int q = 100 / (argc - 2); bomb(); return q; }")
+        report = AngrEngine(image, _fast_policy()).explore([b"5"], argv0=b"x")
+        assert not report.goal_claimed and report.aborted is None
+        assert report.states_explored == 1
+        assert any("concrete division fault; state killed" in str(d)
+                   for d in report.diagnostics)
+
+
+#: (steps, states explored, queries) per cell, pinned so a change to
+#: the explorer's dispatch cannot silently change the search.
+_PINNED_SEARCH = {
+    ("cp_stack", "angrx"): (6577, 41, 59),
+    ("cp_stack", "angrx_nolib"): (71, 2, 1),
+    ("cp_stack", "rexx"): (71, 2, 1),
+    ("sv_time", "angrx"): (38, 1, 0),
+    ("sv_time", "rexx"): (63, 2, 1),
+    ("fp_float", "angrx"): (3638, 20, 19),
+    ("fp_float", "angrx_nolib"): (126, 3, 0),
+    ("pp_pthread", "angrx"): (8554, 41, 57),
+    ("pp_pthread", "angrx_nolib"): (93, 2, 1),
+    ("pp_pthread", "rexx"): (229, 2, 1),
+}
+
+
+@pytest.mark.parametrize("bomb_id,tool", sorted(_PINNED_SEARCH),
+                         ids=[f"{b}-{t}" for b, t in sorted(_PINNED_SEARCH)])
+def test_search_is_pinned(bomb_id, tool):
+    bomb = get_bomb(bomb_id)
+    report = AngrEngine(bomb.image, SYMEX_PROFILES[tool]).explore(
+        bomb.seed_argv, argv0=bomb_id.encode())
+    assert (report.steps, report.states_explored, report.queries) == \
+        _PINNED_SEARCH[bomb_id, tool]
