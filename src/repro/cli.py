@@ -178,11 +178,7 @@ class _BinaryTarget:
 
 
 def _env_flags(base, overlay) -> list[str]:
-    """The ``--env`` flags that turn *base* into ``base.merged(overlay)``.
-
-    File and url contents lose their trailing NUL bytes (the padding of
-    a fixed-width symbolic buffer): no shell argument can carry a NUL.
-    """
+    """The ``--env`` flags that turn *base* into ``base.merged(overlay)``."""
     import shlex
 
     env = base.merged(overlay)
@@ -192,8 +188,7 @@ def _env_flags(base, overlay) -> list[str]:
         known = getattr(base, attr)
         for name, data in sorted(getattr(env, attr).items()):
             if known.get(name) != data:
-                text = data.rstrip(b"\0").decode("latin1")
-                flags.append(f"{kind}:{name}={text}")
+                flags.append(f"{kind}:{name}={data.decode('latin1')}")
     return [f"--env {shlex.quote(flag)}" for flag in flags]
 
 
@@ -571,7 +566,7 @@ def cmd_solverlab_replay(args) -> int:
     if trace_out:
         print(f"trace written to {trace_out} "
               "(load it in https://ui.perfetto.dev)", file=sys.stderr)
-    return 1 if doc["drift"] else 0
+    return 1 if doc["drift"] or doc["effort_drift"] else 0
 
 
 def cmd_solverlab_report(args) -> int:
@@ -603,7 +598,7 @@ def cmd_solverlab_diff(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(solverlab.render_diff(doc))
-    return 1 if doc["drift"] else 0
+    return 1 if doc["drift"] or doc["effort_drift"] else 0
 
 
 def cmd_stats(args) -> int:
@@ -887,7 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = lab.add_parser("replay", help="re-run every captured query "
                                       "offline and check verdict "
-                                      "identity (exit 1 on drift)")
+                                      "identity and, fresh, one-shot "
+                                      "search effort (exit 1 on drift)")
     c.add_argument("--cache", default=".repro-solverlab", metavar="DIR",
                    help="store holding the captured corpus")
     c.add_argument("--bombs", nargs="*",
@@ -926,9 +922,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_solverlab_report)
 
     c = lab.add_parser("diff", help="compare two corpora or replay "
-                                    "documents: verdict drift + "
-                                    "per-class effort deltas (exit 1 "
-                                    "on drift)")
+                                    "documents: verdict drift, search "
+                                    "effort and model drift between "
+                                    "replays, per-class effort deltas "
+                                    "(exit 1 on drift)")
     c.add_argument("a", help="corpus directory or replay JSON")
     c.add_argument("b", help="corpus directory or replay JSON")
     c.add_argument("--json", action="store_true",

@@ -9,7 +9,8 @@ shapes*.  This module turns the SMT flight recorder
   logging on and persist the content-addressed corpus + per-cell
   manifests into the campaign store.
 * :func:`replay_corpus` — re-run every recorded query offline against a
-  fresh (or incremental) solver, assert verdict identity, and report
+  fresh (or incremental) solver, assert verdict identity (and, in fresh
+  mode, the recorded search effort of one-shot queries), and report
   per-class effort deltas.  Replayed queries emit ``solverlab`` obs
   spans, so a replay under ``--trace-out`` renders in Perfetto like any
   other run.
@@ -18,7 +19,8 @@ shapes*.  This module turns the SMT flight recorder
   class — the table that says which constraint shapes to attack.
 * :func:`corpus_index` / :func:`diff_indices` — normalize a store
   directory or a replay JSON into a comparable index and diff two of
-  them: verdict drift (the hard failure) plus per-class effort
+  them: verdict drift and, between two replays, per-digest search
+  effort and model drift (the hard failures) plus per-class effort
   regression.
 
 Everything is plain dict/JSON: the CLI renders text, CI consumes
@@ -29,6 +31,7 @@ Prometheus family.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -41,6 +44,13 @@ from ..smt.solver import IncrementalSolver, Solver
 
 #: Version stamp on replay/report JSON documents.
 SOLVERLAB_SCHEMA = 1
+
+#: The search counters a replay document records per digest.
+EFFORT_KEYS = ("conflicts", "decisions", "restarts", "learnt", "gates")
+
+#: The counters a one-shot query's occurrence records and a fresh
+#: replay must reproduce exactly.
+RECORDED_EFFORT_KEYS = ("conflicts", "gates", "learnt")
 
 
 def _store(cache):
@@ -114,8 +124,17 @@ def _load_corpus(store, bombs=None, tools=None):
     return manifests
 
 
+def _model_digest(model: dict) -> str:
+    doc = json.dumps(sorted(model.items()), separators=(",", ":"))
+    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
 def _replay_one(body: dict, mode: str) -> tuple[str, float, dict]:
-    """Re-run one recorded query; returns (status, wall_s, stats)."""
+    """Re-run one recorded query; returns (status, wall_s, effort).
+
+    *effort* holds the query's :data:`EFFORT_KEYS` counters and, for a
+    ``sat`` verdict, ``model``: a digest of the model.
+    """
     tagged, assumptions = querylog.decode_record(body)
     budget = body.get("budget", {})
     kwargs = {
@@ -123,22 +142,27 @@ def _replay_one(body: dict, mode: str) -> tuple[str, float, dict]:
         "max_clauses": budget.get("max_clauses", 1_500_000),
         "max_nodes": budget.get("max_nodes"),
     }
+    result = None
     t0 = time.perf_counter()
     try:
         if mode == "incremental":
             solver = IncrementalSolver(**kwargs)
             for tag, expr in tagged:
                 solver.assert_expr(expr, tag)
-            status = solver.check(assumptions).status
         else:
             solver = Solver(**kwargs)
             for tag, expr in tagged:
                 solver.add(expr, tag)
-            status = solver.check(assumptions).status
+        result = solver.check(assumptions)
+        status = result.status
     except SolverError:
         status = "error"
     wall = time.perf_counter() - t0
-    return status, wall, solver._last_query_stats
+    stats = solver._last_query_stats
+    effort = {key: stats.get(key, 0) for key in EFFORT_KEYS}
+    if result is not None and result.sat:
+        effort["model"] = _model_digest(result.model)
+    return status, wall, effort
 
 
 def _class_bucket(classes: dict, cls: str) -> dict:
@@ -162,7 +186,12 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
     :class:`Solver` per query; ``incremental`` asserts the prefix into
     an :class:`IncrementalSolver` and answers via one assumption query.
     Returns the replay document; ``drift`` is the list of verdict
-    mismatches (the acceptance gate: it must be empty).
+    mismatches and ``effort_drift`` the list of fresh replays of a
+    one-shot occurrence whose :data:`RECORDED_EFFORT_KEYS` counters
+    differ from the recorded ones (the acceptance gate: both must be
+    empty).  An incremental occurrence's effort depends on the history
+    of its instance, so only its verdict compares.  ``effort`` maps
+    each digest to its replayed search effort and model digest.
     """
     if mode not in ("fresh", "incremental"):
         raise ValueError(f"replay mode must be fresh|incremental, got {mode!r}")
@@ -170,8 +199,11 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
     manifests = _load_corpus(store, bombs, tools)
     bodies: dict[str, dict] = {}
     verdicts: dict[str, str] = {}
+    efforts: dict[str, dict] = {}
     classes: dict[str, dict] = {}
     drift: list[dict] = []
+    effort_drift: list[dict] = []
+    effort_checked = 0
     queries = 0
     missing = 0
     wall_recorded = wall_replayed = 0.0
@@ -196,6 +228,7 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
                         sp.set("status", status)
                     queries += 1
                     verdicts[digest] = status
+                    efforts[digest] = stats
                     wall_recorded += occ.get("wall_s", 0.0)
                     wall_replayed += wall
                     conflicts_recorded += occ.get("conflicts", 0)
@@ -215,6 +248,18 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
                             "replayed": status,
                         })
                         obs.count("smtlog.replay_drift")
+                    if mode == "fresh" and occ.get("solver") == "oneshot":
+                        effort_checked += 1
+                        recorded = {k: occ.get(k, 0)
+                                    for k in RECORDED_EFFORT_KEYS}
+                        replayed = {k: stats[k]
+                                    for k in RECORDED_EFFORT_KEYS}
+                        if recorded != replayed:
+                            effort_drift.append({
+                                "bomb": bomb, "tool": tool, "index": i,
+                                "digest": digest, "recorded": recorded,
+                                "replayed": replayed,
+                            })
                     obs.count("smtlog.replayed")
     for bucket in classes.values():
         bucket["wall_recorded_s"] = round(bucket["wall_recorded_s"], 6)
@@ -228,7 +273,10 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
         "distinct": len(bodies),
         "missing_records": missing,
         "drift": drift,
+        "effort_drift": effort_drift,
+        "effort_checked": effort_checked,
         "verdicts": verdicts,
+        "effort": efforts,
         "classes": classes,
         "wall_recorded_s": round(wall_recorded, 6),
         "wall_replayed_s": round(wall_replayed, 6),
@@ -269,7 +317,23 @@ def render_replay(doc: dict) -> str:
         lines.append(f"replay: {len(doc['drift'])} verdict(s) drifted")
     else:
         lines.append("replay: every verdict reproduced exactly (0 drift)")
+    if doc["effort_drift"]:
+        for d in doc["effort_drift"]:
+            lines.append(
+                f"EFFORT DRIFT {d['bomb']}/{d['tool']}[{d['index']}] "
+                f"{d['digest'][:12]}: recorded {_effort_text(d['recorded'])}"
+                f", replayed {_effort_text(d['replayed'])}")
+        lines.append(f"replay: {len(doc['effort_drift'])} one-shot "
+                     "occurrence(s) drifted in search effort")
+    elif doc["mode"] == "fresh":
+        lines.append(f"replay: all {doc['effort_checked']} one-shot "
+                     "occurrence(s) reproduced their recorded conflicts, "
+                     "gates and learnt")
     return "\n".join(lines)
+
+
+def _effort_text(effort: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in effort.items())
 
 
 # -- report ------------------------------------------------------------------
@@ -414,8 +478,10 @@ def corpus_index(source) -> dict:
     *source* may be a corpus directory (a store root — recorded
     verdicts/efforts are indexed) or a replay/report JSON file produced
     by ``solverlab replay --json`` (replayed verdicts/efforts).
-    Returns ``{"label", "verdicts": {digest: status}, "classes":
-    {class: {"n", "wall_s", "conflicts"}}}``.
+    Returns ``{"label", "verdicts": {digest: status}, "effort":
+    {digest: {counter: n, "model": digest}}, "classes": {class: {"n",
+    "wall_s", "conflicts"}}}``; ``effort`` is empty for a corpus
+    directory, whose occurrences of one digest may differ in effort.
     """
     path = Path(source)
     if path.is_dir():
@@ -431,7 +497,8 @@ def corpus_index(source) -> dict:
                 bucket["n"] += 1
                 bucket["wall_s"] += occ.get("wall_s", 0.0)
                 bucket["conflicts"] += occ.get("conflicts", 0)
-        return {"label": str(path), "verdicts": verdicts, "classes": classes}
+        return {"label": str(path), "verdicts": verdicts, "effort": {},
+                "classes": classes}
     doc = json.loads(path.read_text(encoding="utf-8"))
     if doc.get("kind") != "solverlab-replay":
         raise ValueError(
@@ -446,20 +513,26 @@ def corpus_index(source) -> dict:
                                  row.get("conflicts", 0)),
         }
     return {"label": str(path), "verdicts": dict(doc.get("verdicts", {})),
-            "classes": classes}
+            "effort": dict(doc.get("effort", {})), "classes": classes}
 
 
 def diff_indices(a: dict, b: dict) -> dict:
     """Compare two corpus/replay indices.
 
-    ``drift`` lists digests present in both whose verdicts differ — the
-    hard failure the CLI exits 1 on.  ``classes`` carries per-class
-    effort deltas for classes present in both sides (b relative to a).
+    ``drift`` lists digests present in both whose verdicts differ, and
+    ``effort_drift`` those whose search effort or model digest differs
+    (two replays carry both per digest) — the hard failures the CLI
+    exits 1 on.  ``classes`` carries per-class effort deltas for
+    classes present in both sides (b relative to a).
     """
     common = set(a["verdicts"]) & set(b["verdicts"])
     drift = [{"digest": d, "a": a["verdicts"][d], "b": b["verdicts"][d]}
              for d in sorted(common)
              if a["verdicts"][d] != b["verdicts"][d]]
+    effort_a, effort_b = a["effort"], b["effort"]
+    effort_drift = [{"digest": d, "a": effort_a[d], "b": effort_b[d]}
+                    for d in sorted(common & set(effort_a) & set(effort_b))
+                    if effort_a[d] != effort_b[d]]
     classes = {}
     for cls in sorted(set(a["classes"]) & set(b["classes"])):
         ra, rb = a["classes"][cls], b["classes"][cls]
@@ -481,6 +554,7 @@ def diff_indices(a: dict, b: dict) -> dict:
         "only_a": len(set(a["verdicts"]) - common),
         "only_b": len(set(b["verdicts"]) - common),
         "drift": drift,
+        "effort_drift": effort_drift,
         "classes": classes,
     }
 
@@ -509,4 +583,12 @@ def render_diff(doc: dict) -> str:
         lines.append(f"diff: {len(doc['drift'])} verdict(s) drifted")
     else:
         lines.append("diff: no verdict drift")
+    for d in doc["effort_drift"]:
+        changed = sorted(k for k in set(d["a"]) | set(d["b"])
+                         if d["a"].get(k) != d["b"].get(k))
+        lines.append(f"EFFORT DRIFT {d['digest'][:12]}: " + ", ".join(
+            f"{k} {d['a'].get(k)} -> {d['b'].get(k)}" for k in changed))
+    if doc["effort_drift"]:
+        lines.append(f"diff: {len(doc['effort_drift'])} digest(s) drifted "
+                     "in search effort or model")
     return "\n".join(lines)

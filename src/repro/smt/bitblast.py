@@ -53,10 +53,7 @@ class BitBlaster:
         if a == (b ^ 1):
             return self.FALSE_LIT
         out = self._fresh()
-        add = self.solver.add_clause
-        add([a, out ^ 1])
-        add([b, out ^ 1])
-        add([a ^ 1, b ^ 1, out])
+        self.solver.add_gate(([a, out ^ 1], [b, out ^ 1], [a ^ 1, b ^ 1, out]))
         return out
 
     def _gate_or(self, a: int, b: int) -> int:
@@ -76,11 +73,8 @@ class BitBlaster:
         if a == (b ^ 1):
             return self.TRUE_LIT
         out = self._fresh()
-        add = self.solver.add_clause
-        add([a ^ 1, b ^ 1, out ^ 1])
-        add([a, b, out ^ 1])
-        add([a ^ 1, b, out])
-        add([a, b ^ 1, out])
+        self.solver.add_gate(([a ^ 1, b ^ 1, out ^ 1], [a, b, out ^ 1],
+                              [a ^ 1, b, out], [a, b ^ 1, out]))
         return out
 
     def _gate_mux(self, sel: int, then: int, orelse: int) -> int:
@@ -92,11 +86,15 @@ class BitBlaster:
         if then == orelse:
             return then
         out = self._fresh()
-        add = self.solver.add_clause
-        add([sel ^ 1, then ^ 1, out])
-        add([sel ^ 1, then, out ^ 1])
-        add([sel, orelse ^ 1, out])
-        add([sel, orelse, out ^ 1])
+        clauses = ([sel ^ 1, then ^ 1, out], [sel ^ 1, then, out ^ 1],
+                   [sel, orelse ^ 1, out], [sel, orelse, out ^ 1])
+        if then >> 1 != sel >> 1 and orelse >> 1 != sel >> 1:
+            self.solver.add_gate(clauses)
+        else:
+            # then or orelse is sel or its negation: add_clause's dedup
+            # and tautology drop change these clauses.
+            for clause in clauses:
+                self.solver.add_clause(clause)
         return out
 
     def _full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:

@@ -62,16 +62,31 @@ class SatSolver:
     # -- construction -----------------------------------------------------
 
     def new_var(self) -> int:
+        """Open a variable.  Its per-variable entries (value, level,
+        reason, activity, order-heap entry) are added by :meth:`_grow`
+        when first needed."""
         var = self.num_vars
-        self.num_vars += 1
-        self.values.append(UNASSIGNED)
-        self.levels.append(0)
-        self.reasons.append(-1)
-        self.activity.append(0.0)
+        self.num_vars = var + 1
         self.watches.append([])
         self.watches.append([])
-        heapq.heappush(self._order, (0.0, var))
         return var
+
+    def _grow(self) -> None:
+        """Size the per-variable arrays to ``num_vars``.
+
+        The new order-heap entries are appended in index order: every
+        queued key is ``(-activity, var)`` with ``activity >= 0``, so
+        none exceeds ``(0.0, v)`` for a new, larger ``v``, and
+        ``heappush`` would leave each at the end of the list too.
+        """
+        start = len(self.values)
+        new = self.num_vars - start
+        if new:
+            self.values += [UNASSIGNED] * new
+            self.levels += [0] * new
+            self.reasons += [-1] * new
+            self.activity += [0.0] * new
+            self._order += [(0.0, v) for v in range(start, self.num_vars)]
 
     def add_clause(self, lits: list[int]) -> None:
         """Add a clause of literals (see module docstring for encoding)."""
@@ -93,6 +108,7 @@ class SatSolver:
             self._ok = False
             return
         if len(out) == 1:
+            self._grow()
             if not self._enqueue(out[0], -1):
                 self._ok = False
             return
@@ -100,6 +116,27 @@ class SatSolver:
         self.clauses.append(out)
         self.watches[out[0]].append(idx)
         self.watches[out[1]].append(idx)
+
+    def add_gate(self, clauses: tuple[list[int], ...]) -> None:
+        """Add a Tseitin gate's clauses, in order, without
+        :meth:`add_clause`'s dedup.
+
+        The caller guarantees each clause has at least two literals,
+        all distinct and none the negation of another: then
+        :meth:`add_clause` would store exactly these lists.  The clause
+        budget is checked per clause, as :meth:`add_clause` does.
+        """
+        if not self._ok:
+            return
+        store = self.clauses
+        watches = self.watches
+        for clause in clauses:
+            idx = len(store)
+            if idx >= self.max_clauses:
+                raise SolverError("clause budget exceeded")
+            store.append(clause)
+            watches[clause[0]].append(idx)
+            watches[clause[1]].append(idx)
 
     # -- assignment ---------------------------------------------------------
 
@@ -127,41 +164,62 @@ class SatSolver:
     # -- propagation ----------------------------------------------------------
 
     def _propagate(self) -> int:
-        """Unit propagation; returns conflicting clause index or -1."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = lit ^ 1
-            watch_list = self.watches[false_lit]
+        """Unit propagation; returns conflicting clause index or -1.
+
+        Literal ``l`` is true when ``values[l >> 1] == (l & 1) ^ 1`` and
+        false when ``values[l >> 1] == l & 1`` (UNASSIGNED matches
+        neither).
+        """
+        trail = self.trail
+        values = self.values
+        levels = self.levels
+        reasons = self.reasons
+        clauses = self.clauses
+        watches = self.watches
+        level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watch_list = watches[false_lit]
             i = 0
-            while i < len(watch_list):
+            n = len(watch_list)
+            while i < n:
                 ci = watch_list[i]
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 # Ensure false_lit is at position 1.
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) == 1:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                value = values[first >> 1]
+                if value == (first & 1) ^ 1:
                     i += 1
                     continue
                 # Find a new literal to watch.
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        watch_list[i] = watch_list[-1]
+                    lit = clause[k]
+                    if values[lit >> 1] != lit & 1:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches[lit].append(ci)
+                        n -= 1
+                        watch_list[i] = watch_list[n]
                         watch_list.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                if self._lit_value(first) == 0:
-                    self.qhead = len(self.trail)
-                    return ci
-                self._enqueue(first, ci)
-                i += 1
+                else:
+                    # Clause is unit or conflicting.
+                    if value == first & 1:
+                        self.qhead = len(trail)
+                        return ci
+                    var = first >> 1
+                    values[var] = (first & 1) ^ 1
+                    levels[var] = level
+                    reasons[var] = ci
+                    trail.append(first)
+                    i += 1
+        self.qhead = qhead
         return -1
 
     # -- conflict analysis --------------------------------------------------------
@@ -266,6 +324,7 @@ class SatSolver:
         clauses may be added and the solver re-queried freely.
         """
         assumptions = list(assumptions or [])
+        self._grow()
         self._backtrack(0)
         self.qhead = 0  # re-propagate the root trail over any new clauses
         if not self._ok:

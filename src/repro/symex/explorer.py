@@ -778,7 +778,12 @@ class AngrEngine:
         return out
 
     def _claim_env(self, state: SymState):
-        """Build the claimed environment from recorded env requirements."""
+        """Build the claimed environment from recorded env requirements.
+
+        Url and file contents drop the trailing NUL bytes that pad them
+        to the symbolic buffer's width, so the claim is one a user can
+        type as an ``--env`` flag.
+        """
         if not self.env_requirements:
             return None
         from ..vm import Environment
@@ -794,11 +799,11 @@ class AngrEngine:
         for url, var_names in reqs.get("network", {}).items():
             env.network[url] = bytes(
                 state.model.get(n, 0) & 0xFF for n in var_names
-            )
+            ).rstrip(b"\0")
         for path, var_names in reqs.get("files", {}).items():
             env.files[path] = bytes(
                 state.model.get(n, 0) & 0xFF for n in var_names
-            )
+            ).rstrip(b"\0")
         return env
 
 

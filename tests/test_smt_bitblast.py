@@ -1,5 +1,7 @@
 """Differential tests: bit-blasted solving vs concrete evaluation."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -172,3 +174,112 @@ class TestModelExtraction:
             solver.add_clause([l ^ ((value >> i) & 1)
                                for i, l in enumerate(bits)])
         assert seen == {0, 1, 2}
+
+
+def _cnf_digest(sat: SatSolver) -> str:
+    """Digest of a SAT instance's clause list, in order, and its watch
+    lists."""
+    doc = json.dumps([sat.num_vars, sat.clauses, sat.watches],
+                     separators=(",", ":"))
+    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
+def _pinned_cases():
+    x, y = mk_var("pin_x", 8), mk_var("pin_y", 8)
+    c = mk_var("pin_c", 1)
+
+    def k(value):
+        return mk_const(value, 8)
+
+    return {
+        "add": mk_binop("add", x, y),
+        "sub": mk_binop("sub", x, y),
+        "mul": mk_binop("mul", x, y),
+        "mul_const": mk_binop("mul", x, k(10)),
+        # 0xFE has seven set bits, its complement 2 has one: the
+        # blaster multiplies by 2 and negates.
+        "mul_const_complement": mk_binop("mul", x, k(0xFE)),
+        "udiv_const": mk_binop("udiv", x, k(7)),
+        "urem_const": mk_binop("urem", x, k(10)),
+        "ult": mk_cmp("ult", x, y),
+        "slt": mk_cmp("slt", x, y),
+        "ule": mk_cmp("ule", x, y),
+        "eq": mk_eq(x, y),
+        "shl": mk_binop("shl", x, y),
+        "ashr": mk_binop("ashr", x, y),
+        "ite": mk_ite(c, x, y),
+    }
+
+
+class TestEncodingIsPinned:
+    """The exact CNF each circuit produces, recorded before gate clauses
+    bypassed ``add_clause``'s dedup: the same clauses in the same order
+    over the same variables, so the search over them is the same too.
+    """
+
+    #: case -> (gates, digest of clauses + watch lists).
+    PINNED = {
+        "add": (61, "927e57f661cd5264"),
+        "ashr": (37, "753685a3a70f0ece"),
+        "eq": (31, "ba733bd5b0eeee62"),
+        "ite": (25, "c566d4a43b7012a1"),
+        "mul": (199, "aaeb7bb47d1343f8"),
+        "mul_const": (35, "636bec3ad737f5ec"),
+        "mul_const_complement": (20, "8cf53901442362d2"),
+        "shl": (40, "7893d087de2e1509"),
+        "slt": (46, "7e0ff130599e09b4"),
+        "sub": (62, "941136a0836ebfc9"),
+        "udiv_const": (189, "fe9a982a626fcc1b"),
+        "ule": (46, "ebb3bdfb2d145fdf"),
+        "ult": (46, "bca6450b37da4377"),
+        "urem_const": (135, "0c9048ef0dbc6a37"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_pinned_cases()))
+    def test_circuit_cnf_is_unchanged(self, case):
+        sat = SatSolver()
+        blaster = BitBlaster(sat)
+        blaster.blast(_pinned_cases()[case])
+        assert (blaster.gates, _cnf_digest(sat)) == self.PINNED[case]
+
+    # Variables: 0 is the constant, then sel, other, out.
+    SEL, OTHER, OUT = 2, 4, 6
+
+    @pytest.mark.parametrize("args, clauses", [
+        # then == sel: a duplicate literal goes, a tautology is dropped.
+        ((SEL, SEL, OTHER), [[3, 6], [2, 5, 6], [2, 4, 7]]),
+        ((SEL, SEL ^ 1, OTHER), [[3, 7], [2, 5, 6], [2, 4, 7]]),
+        ((SEL, OTHER, SEL), [[3, 5, 6], [3, 4, 7], [2, 7]]),
+        ((SEL, OTHER, SEL ^ 1), [[3, 5, 6], [3, 4, 7], [2, 6]]),
+    ])
+    def test_mux_over_its_own_selector(self, args, clauses):
+        sat = SatSolver()
+        blaster = BitBlaster(sat)
+        blaster._fresh(), blaster._fresh()
+        out = blaster._gate_mux(*args)
+        assert out == self.OUT
+        assert sat.clauses == clauses
+
+
+class TestBudgetAndState:
+    def test_gate_crossing_the_clause_budget_raises_at_its_limit(self):
+        sat = SatSolver(max_clauses=5)
+        blaster = BitBlaster(sat)
+        a, b, c = (blaster._fresh() for _ in range(3))
+        blaster._gate_and(a, b)
+        with pytest.raises(SolverError, match="clause budget exceeded"):
+            blaster._gate_xor(b, c)
+        # The and gate's three clauses and the xor's first two.
+        assert sat.clauses == [[2, 9], [4, 9], [3, 5, 8],
+                               [5, 7, 11], [4, 6, 11]]
+
+    def test_gates_add_nothing_after_an_empty_clause(self):
+        sat = SatSolver()
+        blaster = BitBlaster(sat)
+        a, b = blaster._fresh(), blaster._fresh()
+        sat.add_clause([])
+        blaster._gate_and(a, b)
+        blaster._gate_xor(a, b)
+        blaster._gate_mux(a, b, a ^ 1)
+        assert sat.clauses == []
+        assert sat.solve() is None

@@ -142,3 +142,108 @@ class TestIncremental:
         solver.add_clause([_lit(a, True), _lit(b, False)])
         with pytest.raises(SolverError):
             solver.add_clause([_lit(a, False), _lit(b, False)])
+
+
+class TestSearchIsPinned:
+    """The CDCL search step for step, recorded before the ingest and
+    propagation paths were rewritten for speed: any change to clause
+    order, watch order, variable numbering or the decision heap moves
+    some solve's counts or model here.
+
+    ``_var_inc`` starts at 1e99, so activities pass 1e100 and rescale
+    within the first conflicts: a heap discipline that is only right
+    until the first rescale fails too.
+    """
+
+    #: seed -> per solve: (verdict, conflicts, decisions, restarts,
+    #: learnt, model as hex with variable 0 the lowest bit).
+    PINNED = {
+        0: [
+            ("sat", 29, 41, 0, 29, "4ada0bfdf2eadec"),
+            ("unsat", 44, 52, 0, 44, None),
+            ("sat", 21, 32, 0, 21, "58e7dbfb05a81e2"),
+            ("unsat", 35, 35, 0, 35, None),
+            ("sat", 14, 21, 0, 14, "c4a4d5fc8999e5b"),
+            ("sat", 4, 8, 0, 4, "4ada0bfdf2eadec"),
+        ],
+        1: [
+            ("sat", 51, 69, 0, 51, "51b52efdafc2042"),
+            ("unsat", 2, 1, 0, 2, None),
+            ("sat", 14, 29, 0, 14, "40b2cf3fea0ae00"),
+            ("sat", 12, 24, 0, 12, "4032cf6fe20ae00"),
+            ("unsat", 52, 57, 0, 52, None),
+            ("unsat", 25, 28, 0, 25, None),
+        ],
+        2: [
+            ("sat", 145, 182, 1, 145, "61f02b9031b5adb"),
+            ("sat", 32, 48, 0, 32, "61f02b9031b5adb"),
+            ("unsat", 34, 40, 0, 34, None),
+            ("sat", 24, 31, 0, 24, "61f02b9031b5adb"),
+            ("unsat", 15, 14, 0, 15, None),
+            ("sat", 10, 16, 0, 10, "61f02b9031b5adb"),
+        ],
+        3: [
+            ("unsat", 3, 5, 0, 3, None),
+            ("unsat", 6, 5, 0, 6, None),
+            ("sat", 29, 43, 0, 29, "a6f1f7c6d057a88"),
+            ("sat", 23, 34, 0, 23, "a6f1f7c6d057a88"),
+            ("sat", 63, 87, 0, 63, "b671fdc7f055bd8"),
+            ("unsat", 12, 11, 0, 12, None),
+        ],
+    }
+
+    @staticmethod
+    def _solves(seed: int):
+        """60 variables, 240 random 3-clauses, then six queries of two
+        random assumption literals each on the one instance."""
+        rng = random.Random(seed)
+        solver = SatSolver()
+        variables = [solver.new_var() for _ in range(60)]
+        for _ in range(240):
+            chosen = rng.sample(variables, 3)
+            solver.add_clause([_lit(v, rng.random() < 0.5) for v in chosen])
+        solver._var_inc = 1e99
+        rows = []
+        for _ in range(6):
+            assumptions = [_lit(v, rng.random() < 0.5)
+                           for v in rng.sample(variables, 2)]
+            before = (solver.conflicts, solver.decisions, solver.restarts,
+                      solver.learnt)
+            model = solver.solve(assumptions)
+            after = (solver.conflicts, solver.decisions, solver.restarts,
+                     solver.learnt)
+            bits = (None if model is None else
+                    f"{int(''.join(map(str, reversed(model))), 2):x}")
+            rows.append(("unsat" if model is None else "sat",
+                         *(b - a for a, b in zip(before, after)), bits))
+        return rows, solver
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_solves_match_the_recorded_search(self, seed):
+        rows, solver = self._solves(seed)
+        assert rows == self.PINNED[seed]
+        # The preset increment did trigger a rescale.
+        assert solver._var_inc < 1e99
+
+
+class TestLazyArrays:
+    def test_unit_clause_right_after_new_var(self):
+        solver = SatSolver()
+        a = solver.new_var()
+        solver.add_clause([_lit(a, False)])
+        b = solver.new_var()
+        solver.add_clause([_lit(a, True), _lit(b, True)])
+        model = solver.solve()
+        assert model == [0, 1]
+
+    def test_model_covers_variables_opened_between_solves(self):
+        solver = SatSolver()
+        a = solver.new_var()
+        solver.add_clause([_lit(a, True)])
+        assert solver.solve() == [1]
+        b, c = solver.new_var(), solver.new_var()
+        solver.add_clause([_lit(b, False), _lit(c, False)])
+        solver.add_clause([_lit(b, True)])
+        model = solver.solve()
+        assert len(model) == solver.num_vars == 3
+        assert model == [1, 1, 0]

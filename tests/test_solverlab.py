@@ -7,6 +7,7 @@ properties of one corpus.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -26,6 +27,28 @@ def corpus(tmp_path_factory):
     doc = solverlab.capture_matrix(bombs=BOMBS, tools=TOOLS,
                                    cache=str(root), verbose=False)
     return str(root), doc
+
+
+@pytest.fixture(scope="module")
+def oneshot_corpus(tmp_path_factory):
+    """cp_stack under angrx: every occurrence is a one-shot query (the
+    corpus above holds only incremental ones)."""
+    root = tmp_path_factory.mktemp("solverlab-oneshot") / "store"
+    solverlab.capture_matrix(bombs=["cp_stack"], tools=["angrx"],
+                             cache=str(root), verbose=False)
+    return str(root)
+
+
+def _tamper_manifest(root, dest, edit):
+    """Copy the store at *root* to *dest* and apply *edit* to the first
+    occurrence of its first manifest; returns that occurrence."""
+    shutil.copytree(root, dest)
+    store = ResultStore(dest)
+    manifest = store.query_manifests()[0]
+    occ = manifest["queries"][0]
+    edit(occ)
+    store.put_query_manifest(manifest["bomb"], manifest["tool"], manifest)
+    return occ
 
 
 class TestCapture:
@@ -115,6 +138,54 @@ class TestReplay:
             solverlab.replay_corpus(corpus[0], mode="warp")
 
 
+class TestReplayEffort:
+    def test_each_digest_carries_its_search_effort(self, oneshot_corpus):
+        doc = solverlab.replay_corpus(oneshot_corpus, mode="fresh")
+        assert set(doc["effort"]) == set(doc["verdicts"])
+        for digest, effort in doc["effort"].items():
+            assert set(solverlab.EFFORT_KEYS) <= set(effort)
+            assert ("model" in effort) == (doc["verdicts"][digest] == "sat")
+        assert sum(e["gates"] for e in doc["effort"].values()) > 0
+
+    def test_fresh_replay_reproduces_one_shot_effort(self, oneshot_corpus):
+        doc = solverlab.replay_corpus(oneshot_corpus, mode="fresh")
+        assert doc["effort_checked"] == doc["queries"] > 0
+        assert doc["effort_drift"] == []
+
+    def test_one_shot_effort_drift_is_reported(self, oneshot_corpus,
+                                               tmp_path, capsys):
+        dest = tmp_path / "store"
+        occ = _tamper_manifest(oneshot_corpus, dest,
+                               lambda o: o.update(gates=o["gates"] + 1))
+        doc = solverlab.replay_corpus(str(dest), mode="fresh")
+        assert doc["drift"] == []
+        [drift] = doc["effort_drift"]
+        assert drift["digest"] == occ["digest"]
+        assert drift["recorded"]["gates"] == drift["replayed"]["gates"] + 1
+        assert cli_main(["solverlab", "replay", "--cache", str(dest)]) == 1
+        assert "EFFORT DRIFT" in capsys.readouterr().out
+
+    def test_incremental_occurrences_compare_verdicts_only(self, corpus,
+                                                           tmp_path):
+        root, _ = corpus
+        dest = tmp_path / "store"
+        occ = _tamper_manifest(root, dest,
+                               lambda o: o.update(conflicts=99, gates=1))
+        assert occ["solver"] == "incremental"
+        doc = solverlab.replay_corpus(str(dest), mode="fresh")
+        assert doc["effort_checked"] == 0
+        assert doc["drift"] == doc["effort_drift"] == []
+
+    def test_incremental_mode_checks_verdicts_only(self, oneshot_corpus,
+                                                   tmp_path):
+        dest = tmp_path / "store"
+        _tamper_manifest(oneshot_corpus, dest,
+                         lambda o: o.update(conflicts=99))
+        doc = solverlab.replay_corpus(str(dest), mode="incremental")
+        assert doc["effort_checked"] == 0
+        assert doc["drift"] == doc["effort_drift"] == []
+
+
 class TestReport:
     def test_report_attributes_all_wall_to_named_classes(self, corpus):
         root, cap = corpus
@@ -164,6 +235,37 @@ class TestDiff:
         doc = solverlab.diff_indices(solverlab.corpus_index(root),
                                      solverlab.corpus_index(out))
         assert [d["digest"] for d in doc["drift"]] == [digest]
+
+    def test_replays_of_the_same_corpus_agree_in_effort(self,
+                                                         oneshot_corpus,
+                                                         tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (a, b):
+            path.write_text(json.dumps(
+                solverlab.replay_corpus(oneshot_corpus, mode="fresh")))
+        doc = solverlab.diff_indices(solverlab.corpus_index(a),
+                                     solverlab.corpus_index(b))
+        assert doc["common"] > 0
+        assert doc["drift"] == doc["effort_drift"] == []
+
+    @pytest.mark.parametrize("key, value", [("decisions", -1),
+                                            ("model", "0" * 16)])
+    def test_effort_or_model_difference_fails_the_diff(self, oneshot_corpus,
+                                                       tmp_path, capsys,
+                                                       key, value):
+        replay = solverlab.replay_corpus(oneshot_corpus, mode="fresh")
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(replay))
+        digest = next(d for d, v in replay["verdicts"].items() if v == "sat")
+        replay["effort"][digest][key] = value
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(replay))
+        doc = solverlab.diff_indices(solverlab.corpus_index(a),
+                                     solverlab.corpus_index(b))
+        assert doc["drift"] == []
+        assert [d["digest"] for d in doc["effort_drift"]] == [digest]
+        assert cli_main(["solverlab", "diff", str(a), str(b)]) == 1
+        assert f"EFFORT DRIFT {digest[:12]}: {key}" in capsys.readouterr().out
 
     def test_non_replay_json_is_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.json"

@@ -197,6 +197,21 @@ class TestRexxCapabilities:
         assert not bomb.triggers(report.solution)
         assert bomb.triggers(report.solution, env=report.solution_env)
 
+    @pytest.mark.parametrize("bomb_id, attr, name, content", [
+        ("sv_web", "network", "http://bomb.example/trigger", b"ok"),
+        ("cp_file_exception", "files", "/etc/bomb.conf", b"o"),
+        ("cs_file_name", "files", "nofile", b"K"),
+    ])
+    def test_claimed_contents_carry_no_nul_padding(self, bomb_id, attr,
+                                                   name, content):
+        bomb = get_bomb(bomb_id)
+        from repro.tools import get_tool
+
+        report = get_tool("rexx").analyze_bomb(bomb)
+        assert report.solved
+        assert getattr(report.solution_env, attr) == {name: content}
+        assert bomb.triggers(report.solution, env=report.solution_env)
+
     def test_honest_claims_reject_invented_values(self):
         bomb = get_bomb("neg_square")
         from repro.tools import get_tool
