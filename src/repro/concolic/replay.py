@@ -33,7 +33,7 @@ from ..ir.lifter import apply_binop, apply_fp_op, flag_condition
 from ..isa import Op, instruction_size
 from ..smt import Expr, mk_binop, mk_bool_not, mk_concat_many, mk_const, mk_eq, mk_extract, mk_sext, mk_var, mk_zext
 from ..vm import Environment, Machine
-from ..vm.cpu import Context, alu, bits_to_f32, bits_to_f64, u64
+from ..vm.cpu import Context, alu, bits_to_f32, bits_to_f64, sext as csext, u64
 from ..vm.syscalls import SIGRETURN_ADDR, THREAD_EXIT_ADDR, Sys
 from ..errors import SolverError
 from .policy import ToolPolicy
@@ -637,8 +637,6 @@ class TraceReplayer:
                   tid: int) -> tuple[int, Expr | None]:
         conc = self.memory.read_uint(addr, width)
         if signed:
-            from ..vm.cpu import sext as csext
-
             conc_val = csext(conc, width * 8)
         else:
             conc_val = conc

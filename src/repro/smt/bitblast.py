@@ -50,10 +50,12 @@ class BitBlaster:
             return a
         if a == b:
             return a
-        if a == (b ^ 1):
+        nb = b ^ 1
+        if a == nb:
             return self.FALSE_LIT
         out = self._fresh()
-        self.solver.add_gate(([a, out ^ 1], [b, out ^ 1], [a ^ 1, b ^ 1, out]))
+        nout = out ^ 1
+        self.solver.add_gate(([a, nout], [b, nout], [a ^ 1, nb, out]))
         return out
 
     def _gate_or(self, a: int, b: int) -> int:
@@ -70,11 +72,13 @@ class BitBlaster:
             return a ^ 1
         if a == b:
             return self.FALSE_LIT
-        if a == (b ^ 1):
+        nb = b ^ 1
+        if a == nb:
             return self.TRUE_LIT
         out = self._fresh()
-        self.solver.add_gate(([a ^ 1, b ^ 1, out ^ 1], [a, b, out ^ 1],
-                              [a ^ 1, b, out], [a, b ^ 1, out]))
+        na, nout = a ^ 1, out ^ 1
+        self.solver.add_gate(([na, nb, nout], [a, b, nout],
+                              [na, b, out], [a, nb, out]))
         return out
 
     def _gate_mux(self, sel: int, then: int, orelse: int) -> int:
@@ -86,8 +90,9 @@ class BitBlaster:
         if then == orelse:
             return then
         out = self._fresh()
-        clauses = ([sel ^ 1, then ^ 1, out], [sel ^ 1, then, out ^ 1],
-                   [sel, orelse ^ 1, out], [sel, orelse, out ^ 1])
+        nsel, nout = sel ^ 1, out ^ 1
+        clauses = ([nsel, then ^ 1, out], [nsel, then, nout],
+                   [sel, orelse ^ 1, out], [sel, orelse, nout])
         if then >> 1 != sel >> 1 and orelse >> 1 != sel >> 1:
             self.solver.add_gate(clauses)
         else:

@@ -37,11 +37,15 @@ class SatSolver:
     def __init__(self, max_conflicts: int = 200_000, max_clauses: int = 2_000_000):
         self.num_vars = 0
         self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = []  # lit -> clause indices
+        #: lit -> clause indices; built by :meth:`_attach` when
+        #: :meth:`solve` starts, for the first ``_attached`` clauses.
+        self.watches: list[list[int]] = []
+        self._attached = 0
         self.values: list[int] = []         # var -> 0/1/UNASSIGNED
         self.levels: list[int] = []
         self.reasons: list[int] = []        # var -> clause idx or -1
         self.activity: list[float] = []
+        self._seen: list[bool] = []         # _analyze's buffer, kept clear
         self.trail: list[int] = []          # assigned literals in order
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -62,31 +66,51 @@ class SatSolver:
     # -- construction -----------------------------------------------------
 
     def new_var(self) -> int:
-        """Open a variable.  Its per-variable entries (value, level,
-        reason, activity, order-heap entry) are added by :meth:`_grow`
-        when first needed."""
+        """Open a variable.  Its per-variable entries are added when
+        first needed: value, level and reason by :meth:`_grow`, the
+        rest by :meth:`_attach`."""
         var = self.num_vars
         self.num_vars = var + 1
-        self.watches.append([])
-        self.watches.append([])
         return var
 
     def _grow(self) -> None:
-        """Size the per-variable arrays to ``num_vars``.
-
-        The new order-heap entries are appended in index order: every
-        queued key is ``(-activity, var)`` with ``activity >= 0``, so
-        none exceeds ``(0.0, v)`` for a new, larger ``v``, and
-        ``heappush`` would leave each at the end of the list too.
-        """
-        start = len(self.values)
-        new = self.num_vars - start
+        """Size the assignment arrays to ``num_vars``, before a unit
+        clause is enqueued and when :meth:`solve` starts."""
+        new = self.num_vars - len(self.values)
         if new:
             self.values += [UNASSIGNED] * new
             self.levels += [0] * new
             self.reasons += [-1] * new
+
+    def _attach(self) -> None:
+        """Build what only the search reads, for every variable and
+        clause added since the last call: activities, order-heap
+        entries, watch lists, and the watches on literals 0 and 1 of
+        each new clause, in index order.
+
+        Nothing touches a watch list or the heap between two solves, so
+        these are the lists that watching each clause as it arrives
+        would build.  The new order-heap entries are appended in index
+        order: every queued key is ``(-activity, var)`` with
+        ``activity >= 0``, so none exceeds ``(0.0, v)`` for a new,
+        larger ``v``, and ``heappush`` would leave each at the end of
+        the list too.
+        """
+        self._grow()
+        start = len(self.activity)
+        new = self.num_vars - start
+        if new:
             self.activity += [0.0] * new
+            self._seen += [False] * new
             self._order += [(0.0, v) for v in range(start, self.num_vars)]
+            self.watches += [[] for _ in range(2 * new)]
+        clauses = self.clauses
+        watches = self.watches
+        for idx in range(self._attached, len(clauses)):
+            clause = clauses[idx]
+            watches[clause[0]].append(idx)
+            watches[clause[1]].append(idx)
+        self._attached = len(clauses)
 
     def add_clause(self, lits: list[int]) -> None:
         """Add a clause of literals (see module docstring for encoding)."""
@@ -112,10 +136,7 @@ class SatSolver:
             if not self._enqueue(out[0], -1):
                 self._ok = False
             return
-        idx = len(self.clauses)
         self.clauses.append(out)
-        self.watches[out[0]].append(idx)
-        self.watches[out[1]].append(idx)
 
     def add_gate(self, clauses: tuple[list[int], ...]) -> None:
         """Add a Tseitin gate's clauses, in order, without
@@ -129,14 +150,10 @@ class SatSolver:
         if not self._ok:
             return
         store = self.clauses
-        watches = self.watches
         for clause in clauses:
-            idx = len(store)
-            if idx >= self.max_clauses:
+            if len(store) >= self.max_clauses:
                 raise SolverError("clause budget exceeded")
             store.append(clause)
-            watches[clause[0]].append(idx)
-            watches[clause[1]].append(idx)
 
     # -- assignment ---------------------------------------------------------
 
@@ -235,7 +252,7 @@ class SatSolver:
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP learning; returns (learnt clause, backtrack level)."""
         learnt = [0]  # placeholder for the asserting literal
-        seen = [False] * self.num_vars
+        seen = self._seen
         counter = 0
         lit = -1
         index = len(self.trail) - 1
@@ -264,6 +281,10 @@ class SatSolver:
                 break
             clause_idx = self.reasons[lit >> 1]
         learnt[0] = lit ^ 1
+        # Every current-level variable was cleared as it was resolved;
+        # the lower-level ones are those of learnt[1:].
+        for q in learnt[1:]:
+            seen[q >> 1] = False
         if len(learnt) == 1:
             return learnt, 0
         # Backtrack to the second-highest level in the clause.
@@ -324,7 +345,7 @@ class SatSolver:
         clauses may be added and the solver re-queried freely.
         """
         assumptions = list(assumptions or [])
-        self._grow()
+        self._attach()
         self._backtrack(0)
         self.qhead = 0  # re-propagate the root trail over any new clauses
         if not self._ok:
@@ -362,6 +383,7 @@ class SatSolver:
                     self.clauses.append(learnt)
                     self.watches[learnt[0]].append(idx)
                     self.watches[learnt[1]].append(idx)
+                    self._attached = idx + 1
                     self._enqueue(learnt[0], idx)
                 self._var_inc *= 1.05
                 continue

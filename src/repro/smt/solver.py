@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .. import obs
 from ..obs import profile, session
 from ..errors import SolverError
-from . import querylog
+from . import intervals, querylog
 from .bitblast import BitBlaster
 from .expr import Expr
 from .sat import SatSolver
@@ -100,9 +100,9 @@ class Solver:
             pending.append(expr)
         if not pending:
             return CheckResult("sat", {})
-        from .intervals import presolve_unsat
-
-        if presolve_unsat(pending):
+        # Looked up on the module per call, so a wrapper set on
+        # intervals.presolve_unsat (matrix_ledger/spans.py) sees it.
+        if intervals.presolve_unsat(pending):
             return CheckResult("unsat")
         if self.max_nodes is not None:
             total = sum(e.size() for e in pending)
@@ -229,9 +229,7 @@ class IncrementalSolver:
             pending.append(expr)
         if not self._prefix and not pending:
             return CheckResult("sat", {})
-        from .intervals import presolve_unsat
-
-        if presolve_unsat(self._prefix + pending):
+        if intervals.presolve_unsat(self._prefix + pending):
             return CheckResult("unsat")
         if self.max_nodes is not None:
             total = self._prefix_nodes + sum(e.size() for e in pending)

@@ -26,6 +26,7 @@ from ..smt import (
     BitBlaster,
     Expr,
     SatSolver,
+    Solver,
     eval_expr,
     mk_const,
 )
@@ -357,8 +358,6 @@ class PathSolver:
     def check(self, constraints: list[Expr], extra: list[Expr],
               tag=None) -> CheckResult:
         """Satisfiability of *constraints* + *extra* (fresh instance)."""
-        from ..smt import Solver
-
         solver = Solver(self.max_conflicts, self.max_clauses, self.max_nodes)
         solver.extend(constraints)
         return solver.check(extra, tag=tag)

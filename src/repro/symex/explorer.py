@@ -28,7 +28,10 @@ from ..smt import (
     mk_bool_or,
     mk_const,
     mk_eq,
+    mk_ite,
+    mk_sext,
     mk_var,
+    mk_zext,
 )
 from ..vm.machine import STACK_TOP
 from .cache import TRANSFERS, PathSolver, compile_stmts
@@ -496,8 +499,6 @@ class AngrEngine:
             raise
 
     def _load(self, state: SymState, addr: Expr, width: int, signed: bool) -> Expr:
-        from ..smt import mk_sext, mk_zext
-
         if addr.is_const:
             value = state.read_concrete_mem(addr.value, width)
         else:
@@ -532,8 +533,6 @@ class AngrEngine:
                 "symbolic address resolves to too many cells; concretized",
             )
             return state.read_concrete_mem(target, width)
-        from ..smt import mk_ite
-
         result = state.read_concrete_mem(values[0], width)
         for value in values[1:]:
             result = mk_ite(

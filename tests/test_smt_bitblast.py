@@ -177,8 +177,9 @@ class TestModelExtraction:
 
 
 def _cnf_digest(sat: SatSolver) -> str:
-    """Digest of a SAT instance's clause list, in order, and its watch
-    lists."""
+    """Digest of a SAT instance's clause list, in order, and the watch
+    lists :meth:`SatSolver.solve` starts from."""
+    sat._attach()
     doc = json.dumps([sat.num_vars, sat.clauses, sat.watches],
                      separators=(",", ":"))
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
@@ -272,6 +273,16 @@ class TestBudgetAndState:
         # The and gate's three clauses and the xor's first two.
         assert sat.clauses == [[2, 9], [4, 9], [3, 5, 8],
                                [5, 7, 11], [4, 6, 11]]
+
+    def test_budget_failure_builds_no_search_structures(self):
+        sat = SatSolver(max_clauses=3000)
+        blaster = BitBlaster(sat)
+        x, y = mk_var("budget_x", 64), mk_var("budget_y", 64)
+        with pytest.raises(SolverError, match="clause budget exceeded"):
+            blaster.blast(mk_binop("mul", x, y))
+        assert (blaster.gates, len(sat.clauses)) == (1012, 3000)
+        # Watch lists and the decision heap are built by solve() only.
+        assert sat.watches == [] and sat._order == []
 
     def test_gates_add_nothing_after_an_empty_clause(self):
         sat = SatSolver()

@@ -226,6 +226,100 @@ class TestSearchIsPinned:
         assert solver._var_inc < 1e99
 
 
+class TestSearchAcrossAddedClauses:
+    """The search of one instance that gains variables and clauses
+    between solves, recorded while every clause was still watched as it
+    arrived: clauses added after a solve must join the watch lists in
+    the order, and behind the entries, that eager watching gave them.
+
+    Each round is an assumption solve, a blocking clause over a model,
+    and a new variable tied in by a binary clause.  ``_var_inc`` starts
+    at 1e99, as in :class:`TestSearchIsPinned`.
+    """
+
+    #: seed -> per solve: (verdict, conflicts, decisions, restarts,
+    #: learnt, model as hex with variable 0 the lowest bit).
+    PINNED = {
+        0: [
+            ("sat", 3, 21, 0, 3, "2a3f70e720222"),
+            ("sat", 4, 16, 0, 4, "1c3b6e6020a70"),
+            ("sat", 18, 32, 0, 18, "a3c70e770062"),
+            ("unsat", 17, 16, 0, 17, None),
+            ("unsat", 26, 25, 0, 26, None),
+            ("sat", 3, 14, 0, 3, "45c3b6e6020a70"),
+            ("sat", 8, 17, 0, 8, "6383b6e6124af2"),
+            ("unsat", 19, 21, 0, 19, None),
+        ],
+        1: [
+            ("sat", 14, 22, 0, 14, "26edb86403c88"),
+            ("sat", 12, 26, 0, 12, "5ba1e4247600a"),
+            ("unsat", 21, 26, 0, 21, None),
+            ("sat", 19, 30, 0, 19, "16ba0e42a4600a"),
+            ("sat", 3, 8, 0, 3, "f6edb86403c88"),
+            ("sat", 8, 18, 0, 8, "16aa54c8484022"),
+            ("unsat", 4, 3, 0, 4, None),
+            ("sat", 2, 7, 0, 2, "af6edb86403c88"),
+        ],
+        3: [
+            ("unsat", 28, 27, 0, 28, None),
+            ("sat", 25, 43, 0, 25, "14eec4d965e08"),
+            ("sat", 4, 14, 0, 4, "34eb84e14db68"),
+            ("sat", 6, 14, 0, 6, "35ef84c44db68"),
+            ("sat", 2, 15, 0, 2, "54eec4d965e08"),
+            ("sat", 14, 25, 0, 14, "434ebc4e145f68"),
+            ("sat", 6, 14, 0, 6, "b0e4c5f4c570a"),
+            ("sat", 1, 16, 0, 1, "654eec4d965e08"),
+        ],
+        7: [
+            ("sat", 4, 15, 0, 4, "22820ef499788"),
+            ("sat", 9, 20, 0, 9, "22810e7499798"),
+            ("unsat", 30, 32, 0, 30, None),
+            ("unsat", 15, 14, 0, 15, None),
+            ("sat", 5, 19, 0, 5, "2a24b1e099d3de"),
+            ("sat", 4, 16, 0, 4, "3a24b1e099d3de"),
+            ("sat", 3, 16, 0, 3, "7a24b1e099d3de"),
+            ("sat", 1, 12, 0, 1, "fa24b1e099d3de"),
+        ],
+    }
+
+    @staticmethod
+    def _rounds(seed: int):
+        """50 variables and 200 random 3-clauses, then eight rounds."""
+        rng = random.Random(seed)
+        solver = SatSolver()
+        variables = [solver.new_var() for _ in range(50)]
+        for _ in range(200):
+            chosen = rng.sample(variables, 3)
+            solver.add_clause([_lit(v, rng.random() < 0.5) for v in chosen])
+        solver._var_inc = 1e99
+        rows = []
+        for _ in range(8):
+            assumptions = [_lit(v, rng.random() < 0.5)
+                           for v in rng.sample(variables, 2)]
+            before = (solver.conflicts, solver.decisions, solver.restarts,
+                      solver.learnt)
+            model = solver.solve(assumptions)
+            after = (solver.conflicts, solver.decisions, solver.restarts,
+                     solver.learnt)
+            bits = (None if model is None else
+                    f"{int(''.join(map(str, reversed(model))), 2):x}")
+            rows.append(("unsat" if model is None else "sat",
+                         *(b - a for a, b in zip(before, after)), bits))
+            if model is not None:
+                solver.add_clause([_lit(v, model[v] == 0) for v in variables])
+            new = solver.new_var()
+            solver.add_clause([_lit(new, rng.random() < 0.5),
+                               _lit(rng.choice(variables), rng.random() < 0.5)])
+            variables.append(new)
+        return rows, solver
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_solves_match_the_recorded_search(self, seed):
+        rows, solver = self._rounds(seed)
+        assert rows == self.PINNED[seed]
+        assert solver._var_inc < 1e99
+
+
 class TestLazyArrays:
     def test_unit_clause_right_after_new_var(self):
         solver = SatSolver()
