@@ -308,18 +308,13 @@ def cmd_profile(args) -> int:
     if args.tool not in known:
         raise SystemExit(f"profile: unknown tool {args.tool!r} "
                          f"(known: {', '.join(known)})")
-    mem = obs.MemorySink()
-    sinks: list = [mem]
-    if args.metrics_out is not None:
-        try:
-            sinks.append(obs.JsonlSink(args.metrics_out))
-        except OSError as err:
-            raise SystemExit(
-                f"cannot open {args.metrics_out}: {err.strerror}")
     profiler = obs.Profiler()
-    with session.overlay(recorder=obs.Recorder(sinks=sinks, hist_values=True),
-                         profiler=profiler, close=True):
+    # The profiler's overlay sits inside the recorder's, so it flushes
+    # its buckets into the recorder before the recorder closes.
+    with _metrics(args, capture=True) as rec, \
+            session.overlay(profiler=profiler):
         cell = run_cell(bomb, args.tool)
+    mem = next(s for s in rec.sinks if isinstance(s, obs.MemorySink))
     if args.trace_out:
         Path(args.trace_out).write_text(
             json.dumps(obs.chrome_trace(mem.events)))
@@ -485,19 +480,10 @@ def cmd_campaign_results(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from . import obs
     from .service.api import serve_forever
 
     if args.poll <= 0:
         raise SystemExit("serve: --poll must be > 0")
-    sinks = []
-    if args.metrics_out is not None:
-        try:
-            sinks.append(obs.JsonlSink(args.metrics_out))
-        except OSError as err:
-            raise SystemExit(f"cannot open {args.metrics_out}: "
-                             f"{err.strerror}")
-    recorder = obs.Recorder(sinks=sinks, hist_values=True)
 
     def ready(bound):
         host, port = bound
@@ -506,7 +492,7 @@ def cmd_serve(args) -> int:
         print("submit with: curl -X POST --data @spec.json "
               f"http://{host}:{port}/campaigns", flush=True)
 
-    with obs.recording(recorder):
+    with _metrics(args, want=True) as recorder:
         serve_forever(args.root, args.host, args.port,
                       recorder=recorder, poll_s=args.poll, ready=ready)
     return 0
@@ -603,7 +589,7 @@ def cmd_solverlab_diff(args) -> int:
 
 def cmd_stats(args) -> int:
     from .obs import (
-        aggregate_events,
+        Recorder,
         prometheus_text,
         read_events,
         render_profile,
@@ -621,13 +607,22 @@ def cmd_stats(args) -> int:
     if not events:
         print(f"{args.metrics}: no events")
         return 1
-    if args.prom:
-        sys.stdout.write(prometheus_text(aggregate_events(events)))
-        return 0
-    if args.profile:
+    if args.profile and not args.prom:
         print(render_profile(self_time_profile(events)))
         return 0
-    print(render_stats(aggregate_events(events)))
+    rec = Recorder()
+    rec.absorb(events)
+    # Streams written before hist events carried their values: a
+    # summary alone cannot be merged, so name what absorb left out.
+    unmerged = sorted({e["name"] for e in events
+                       if e.get("t") == "hist" and "values" not in e})
+    if unmerged:
+        print(f"stats: {args.metrics} has histograms without raw values "
+              f"(not merged): {', '.join(unmerged)}", file=sys.stderr)
+    if args.prom:
+        sys.stdout.write(prometheus_text(rec.snapshot()))
+        return 0
+    print(render_stats(rec.snapshot(), len(events)))
     return 0
 
 

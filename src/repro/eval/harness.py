@@ -39,7 +39,9 @@ class CellResult:
     expected: str | None
     report: ToolReport
     #: Wall seconds per pipeline stage (trace/lift/extract/solve/replay),
-    #: summed over the cell; empty when no recorder was installed.
+    #: summed over the cell: what the spans that closed inside the
+    #: ``cell`` span added to the recorder's per-name span totals;
+    #: empty when no recorder was installed.
     timings: dict[str, float] = field(default_factory=dict)
     #: Exclusive wall seconds per stage — each stage's wall minus the
     #: time spent in nested child spans (``solve`` nests inside
@@ -159,8 +161,12 @@ def run_cell(bomb: Bomb, tool_name: str,
                              store=None, timeout=timeout, retries=0)
         return result.cells[(bomb.bomb_id, tool_name)]
     tool = get_tool(tool_name)
+    rec = session.current.recorder
+    stats = rec.span_stats if rec is not None else {}
     with obs.span("cell", bomb=bomb.bomb_id, tool=tool_name) as sp, \
             session.cell(bomb.bomb_id, tool_name):
+        opened = {name: (stat["count"], stat["wall_s"], stat["self_s"])
+                  for name, stat in stats.items()}
         report = tool.analyze_bomb(bomb)
         if report.solved and report.solution is not None:
             # Re-validate the accepted solution concretely, so every
@@ -177,8 +183,12 @@ def run_cell(bomb: Bomb, tool_name: str,
         sp.set("expected", bomb.expected.get(tool_name))
         if root is not None:
             sp.set("diagnostic", str(root))
-        timings = dict(sp.stage_totals)
-        timings_self = dict(sp.stage_self_totals)
+        timings, timings_self = {}, {}
+        for name, stat in stats.items():
+            count, wall, self_s = opened.get(name, (0, 0.0, 0.0))
+            if stat["count"] > count:
+                timings[name] = stat["wall_s"] - wall
+                timings_self[name] = stat["self_s"] - self_s
     return CellResult(
         bomb_id=bomb.bomb_id,
         tool=tool_name,

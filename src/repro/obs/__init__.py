@@ -9,6 +9,10 @@ the :func:`recording` shorthand); when none is on every hook degrades to
 a near-free no-op, so the engines stay import-cheap and fast with
 observability off.
 
+The recorder's aggregate is the only one: a flushed stream carries each
+histogram's raw values, so :meth:`Recorder.absorb` folds streams back
+exactly, for the fleet and for ``repro stats`` alike.
+
 The metric names form the measurement substrate for the paper's
 artifacts (see the README glossary): ``taint.instructions_tainted`` is
 Figure 3's tainted-instruction count, the ``trace``/``lift``/
@@ -22,7 +26,7 @@ from .profile import Profiler
 from .provenance import ProvenanceCollector
 from .session import recording
 from .sinks import JsonlSink, MemorySink
-from .stats import Aggregate, aggregate_events, read_events, render_stats
+from .stats import read_events, render_stats
 from .traceviz import (
     chrome_trace,
     collapsed_stacks,
@@ -32,7 +36,6 @@ from .traceviz import (
 )
 
 __all__ = [
-    "Aggregate",
     "JsonlSink",
     "MemorySink",
     "NULL_SPAN",
@@ -40,7 +43,6 @@ __all__ = [
     "ProvenanceCollector",
     "Recorder",
     "Span",
-    "aggregate_events",
     "chrome_trace",
     "collapsed_stacks",
     "count",

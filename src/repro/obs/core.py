@@ -28,21 +28,17 @@ from . import session as _session
 class Span:
     """One timed region.  Created via :meth:`Recorder.span`.
 
-    At exit the span knows its wall/CPU duration, the counter deltas
-    that occurred inside it, and ``stage_totals`` — wall seconds of
-    every descendant span, aggregated by name (the per-cell stage
-    timeline the eval harness reads).
+    At exit the span knows its wall/CPU duration and the counter deltas
+    that occurred inside it.
 
     ``wall_s`` is *inclusive* (it contains every nested span), while
     ``self_s`` is the span's *exclusive* self-time: wall minus the wall
     of its direct children.  Summing ``self_s`` over all spans equals
     the real elapsed wall — unlike inclusive figures, where a ``solve``
     nested inside ``explore`` is counted under both names.
-    ``stage_self_totals`` aggregates descendant self-times by name.
     """
 
     __slots__ = ("name", "attrs", "path", "wall_s", "cpu_s", "self_s",
-                 "stage_totals", "stage_self_totals",
                  "span_id", "parent_id",
                  "_recorder", "_wall0", "_cpu0", "_counters0", "_child_wall")
 
@@ -53,8 +49,6 @@ class Span:
         self.wall_s = 0.0
         self.cpu_s = 0.0
         self.self_s = 0.0
-        self.stage_totals: dict[str, float] = {}
-        self.stage_self_totals: dict[str, float] = {}
         self._child_wall = 0.0
         self.span_id: str | None = None
         self.parent_id: str | None = None
@@ -83,28 +77,10 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         rec = self._recorder
-        self.wall_s = rec._wall_clock() - self._wall0
-        self.cpu_s = rec._cpu_clock() - self._cpu0
-        self.self_s = max(0.0, self.wall_s - self._child_wall)
+        wall, cpu = rec._wall_clock(), rec._cpu_clock()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        rec._stack.pop()
-        if rec._stack:
-            rec._stack[-1]._child_wall += self.wall_s
-        # Every ancestor accumulates this span's wall time under its
-        # name, so an enclosing "cell" span ends with a flat timeline
-        # of all the stages that ran inside it.
-        for ancestor in rec._stack:
-            totals = ancestor.stage_totals
-            totals[self.name] = totals.get(self.name, 0.0) + self.wall_s
-            selfs = ancestor.stage_self_totals
-            selfs[self.name] = selfs.get(self.name, 0.0) + self.self_s
-        deltas = {
-            name: value - self._counters0.get(name, 0)
-            for name, value in rec.counters.items()
-            if value != self._counters0.get(name, 0)
-        }
-        rec._record_span(self, deltas)
+        rec._close(self, wall, cpu)
         return False
 
 
@@ -117,14 +93,6 @@ class _NullSpan:
     self_s = 0.0
     path = ""
     name = ""
-
-    @property
-    def stage_totals(self) -> dict:
-        return {}
-
-    @property
-    def stage_self_totals(self) -> dict:
-        return {}
 
     @property
     def attrs(self) -> dict:
@@ -176,7 +144,7 @@ class Recorder:
     """
 
     def __init__(self, sinks=(), wall_clock=time.perf_counter,
-                 cpu_clock=time.process_time, hist_values: bool = False,
+                 cpu_clock=time.process_time,
                  trace_id: str | None = None,
                  parent_span_id: str | None = None):
         self.sinks = list(sinks)
@@ -196,11 +164,6 @@ class Recorder:
         self.parent_span_id = parent_span_id
         self.pid = os.getpid()
         self._span_seq = 0
-        #: Include raw observations in flushed ``hist`` events, so a
-        #: parent recorder can :meth:`absorb` the stream exactly (the
-        #: summary alone cannot be merged losslessly).  Off by default —
-        #: it grows the event stream by one float per observation.
-        self.hist_values = hist_values
 
     # -- instrumentation points ------------------------------------------
 
@@ -219,7 +182,21 @@ class Recorder:
 
     # -- internals --------------------------------------------------------
 
-    def _record_span(self, span: Span, counter_deltas: dict[str, int]) -> None:
+    def _close(self, span: Span, wall: float, cpu: float) -> None:
+        """Close the innermost open *span* at clock readings *wall* and
+        *cpu*: time it, charge its wall to its parent and record it."""
+        span.wall_s = wall - span._wall0
+        span.cpu_s = cpu - span._cpu0
+        span.self_s = max(0.0, span.wall_s - span._child_wall)
+        self._stack.pop()
+        if self._stack:
+            self._stack[-1]._child_wall += span.wall_s
+        counters0 = span._counters0
+        counter_deltas = {
+            name: value - counters0.get(name, 0)
+            for name, value in self.counters.items()
+            if value != counters0.get(name, 0)
+        }
         stat = self.span_stats.setdefault(
             span.name, {"count": 0, "wall_s": 0.0, "cpu_s": 0.0,
                         "self_s": 0.0})
@@ -302,8 +279,9 @@ class Recorder:
         and are re-emitted verbatim to this recorder's sinks (so a
         ``--metrics-out`` file still carries every per-cell event);
         ``counter`` summaries add into the counters; ``hist`` events
-        replay their raw ``values`` into the histograms (streams from a
-        recorder without ``hist_values`` merge counters and spans only).
+        replay their raw ``values`` into the histograms (a ``hist``
+        event written before every stream carried its values has only
+        the summary, which cannot be merged, and adds nothing).
         """
         for event in events:
             kind = event.get("t")
@@ -343,23 +321,11 @@ class Recorder:
         instead of silently vanishing.  Innermost spans flush first,
         preserving the children-before-parents stream invariant.
         """
-        now_wall = self._wall_clock()
-        now_cpu = self._cpu_clock()
+        wall, cpu = self._wall_clock(), self._cpu_clock()
         while self._stack:
             span = self._stack[-1]
-            span.wall_s = now_wall - span._wall0
-            span.cpu_s = now_cpu - span._cpu0
-            span.self_s = max(0.0, span.wall_s - span._child_wall)
             span.attrs["aborted"] = reason
-            self._stack.pop()
-            if self._stack:
-                self._stack[-1]._child_wall += span.wall_s
-            for ancestor in self._stack:
-                totals = ancestor.stage_totals
-                totals[span.name] = totals.get(span.name, 0.0) + span.wall_s
-                selfs = ancestor.stage_self_totals
-                selfs[span.name] = selfs.get(span.name, 0.0) + span.self_s
-            self._record_span(span, {})
+            self._close(span, wall, cpu)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -371,11 +337,9 @@ class Recorder:
             self.emit({"t": "counter", "name": name,
                        "value": self.counters[name]})
         for name in sorted(self.hists):
-            event = {"t": "hist", "name": name,
-                     **self._hist_summary(self.hists[name])}
-            if self.hist_values:
-                event["values"] = list(self.hists[name])
-            self.emit(event)
+            self.emit({"t": "hist", "name": name,
+                       **self._hist_summary(self.hists[name]),
+                       "values": list(self.hists[name])})
 
     def close(self) -> None:
         if self._closed:

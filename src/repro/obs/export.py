@@ -3,25 +3,22 @@
 Two read-only views of data the :class:`~repro.obs.core.Recorder`
 already produces:
 
-* :func:`prometheus_text` renders an :class:`~repro.obs.stats.Aggregate`
-  (or a recorder ``snapshot()``) in the Prometheus text exposition
-  format, so a campaign box can drop the file behind any static HTTP
-  server and be scraped.  Counters become ``repro_<name>`` counters,
-  spans become ``repro_span_count``/``repro_span_wall_seconds_total``
-  families labelled by span name, histograms become summaries.
-* :func:`self_time_profile` reconstructs a flamegraph-style self-time
-  table from a JSONL span event stream.  Span events carry their
-  hierarchy in ``path`` and are emitted children-before-parents, so a
-  single pass can subtract each child's wall time from its parent and
-  report where time was actually *spent* rather than merely enclosed.
+* :func:`prometheus_text` renders a recorder ``snapshot()`` in the
+  Prometheus text exposition format, so a campaign box can drop the
+  file behind any static HTTP server and be scraped.  Counters become
+  ``repro_<name>`` counters, spans become
+  ``repro_span_count``/``repro_span_wall_seconds_total`` families
+  labelled by span name, histograms become summaries.
+* :func:`self_time_profile` builds a flamegraph-style self-time table
+  from a JSONL span event stream: per span ``path``, the exclusive
+  ``self_s`` each span event recorded, so it reports where time was
+  actually *spent* rather than merely enclosed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-from .stats import Aggregate
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -40,14 +37,11 @@ def _fmt(value: float) -> str:
     return repr(round(float(value), 9))
 
 
-def prometheus_text(agg: Aggregate | dict) -> str:
-    """Render an aggregate (or ``Recorder.snapshot()``) as Prometheus text."""
-    if isinstance(agg, dict):
-        counters = agg.get("counters", {})
-        spans = agg.get("spans", {})
-        hists = agg.get("histograms", {})
-    else:
-        counters, spans, hists = agg.counters, agg.spans, agg.hists
+def prometheus_text(snapshot: dict) -> str:
+    """Render a ``Recorder.snapshot()`` as Prometheus text."""
+    counters = snapshot.get("counters", {})
+    spans = snapshot.get("spans", {})
+    hists = snapshot.get("histograms", {})
 
     lines: list[str] = []
     for name in sorted(counters):
@@ -156,22 +150,18 @@ class ProfileRow:
 def self_time_profile(events: list[dict]) -> list[ProfileRow]:
     """Self-time table from a span event stream, sorted by self time.
 
-    Exploits two stream invariants: a span's ``path`` embeds its whole
-    ancestry (``cell/trace/vm``), and a child's event is emitted before
-    its parent's.  Child wall time is parked under the parent's path
-    and subtracted when the parent's own event arrives.
+    Rows are keyed by span ``path`` (``cell/trace/vm``) and sum the
+    ``self_s`` each span event recorded.  An event without ``self_s``
+    counts as childless (self == wall), the rule
+    :meth:`~repro.obs.core.Recorder.absorb` applies.
     """
     rows: dict[str, ProfileRow] = {}
-    pending: dict[str, float] = {}  # parent path -> children wall not yet seen
     for event in events:
         if event.get("t") != "span":
             continue
         path = event.get("path") or event.get("name", "")
         wall = event.get("wall_s", 0.0)
-        self_s = wall - pending.pop(path, 0.0)
-        if "/" in path:
-            parent = path.rsplit("/", 1)[0]
-            pending[parent] = pending.get(parent, 0.0) + wall
+        self_s = event.get("self_s", wall)
         row = rows.get(path)
         if row is None:
             rows[path] = ProfileRow(path, 1, wall, self_s,

@@ -106,7 +106,7 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
         trace_id, parent_span_id, profiling_on = \
             trace_ctx or (None, None, False)
         recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
-                                hist_values=True, trace_id=trace_id,
+                                trace_id=trace_id,
                                 parent_span_id=parent_span_id)
         profiler = obs.Profiler() if profiling_on else None
 

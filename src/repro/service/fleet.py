@@ -585,7 +585,7 @@ def run_worker(root: str | os.PathLike, *, worker_id: str | None = None,
     recording = contextlib.nullcontext()
     if metrics_out is not None:
         recording = obs.recording(obs.Recorder(
-            sinks=[obs.JsonlSink(metrics_out)], hist_values=True))
+            sinks=[obs.JsonlSink(metrics_out)]))
     with recording, obs.span("worker", worker=worker.worker_id, slots=slots):
         return worker.run(drain=drain, max_idle=max_idle)
 

@@ -5,7 +5,7 @@ transition is one flushed-and-fsynced line::
 
     {"t": "submit",  "id": ..., "bomb": ..., "tool": ...}
     {"t": "claim",   "id": ..., "worker": ..., "attempt": N,
-                     "lease_until": T?}
+                     "lease_until": T}
     {"t": "renew",   "id": ..., "worker": ..., "lease_until": T}
     {"t": "requeue", "id": ..., "reason": ..., "not_before": T}
     {"t": "done",    "id": ..., "result": "computed"|"cached"|"timeout"|...}
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,8 +58,8 @@ class Job:
     not_before: float = 0.0
     result: str | None = None
     reason: str | None = None
-    #: Wall-clock deadline of the current claim's lease (fleet mode);
-    #: None for unleased single-driver claims.
+    #: Wall-clock deadline of the current claim's lease; None while
+    #: the job is not claimed.
     lease_until: float | None = None
 
     @property
@@ -150,22 +149,20 @@ class JobQueue:
         obs.count("service.jobs_submitted", len(jobs))
         return jobs
 
-    def claim(self, worker: str, now: float | None = None,
-              lease_until: float | None = None) -> Job | None:
+    def claim(self, worker: str, now: float,
+              lease_until: float) -> Job | None:
         """Atomically claim the next ready pending job (FIFO), if any.
 
-        *lease_until* (a wall-clock deadline, fleet mode) is recorded in
-        the claim so other journal readers can detect a dead claimant.
+        *now* and *lease_until* are on the journal's clock, the fleet's
+        wall clock; *lease_until* is recorded in the claim so other
+        journal readers can detect a dead claimant.
         """
-        now = time.monotonic() if now is None else now
         for job_id in self._order:
             job = self.jobs[job_id]
             if job.status == PENDING and job.not_before <= now:
-                record = {"t": "claim", "id": job_id, "worker": worker,
-                          "attempt": job.attempts + 1}
-                if lease_until is not None:
-                    record["lease_until"] = lease_until
-                self._append(record)
+                self._append({"t": "claim", "id": job_id, "worker": worker,
+                              "attempt": job.attempts + 1,
+                              "lease_until": lease_until})
                 obs.count("service.jobs_claimed")
                 obs.observe("service.queue_depth", float(self.depth()))
                 return job

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (
-    aggregate_events,
+    Recorder,
     prometheus_text,
     render_profile,
     self_time_profile,
@@ -49,19 +49,20 @@ class TestPrometheusText:
         assert 'repro_smt_gates_count 5' in text
 
     def test_accepts_an_aggregate(self):
-        agg = aggregate_events([
-            {"t": "counter", "name": "prov.drops", "value": 2},
-        ])
-        assert "repro_prov_drops 2" in prometheus_text(agg)
+        rec = Recorder()
+        rec.absorb([{"t": "counter", "name": "prov.drops", "value": 2}])
+        assert "repro_prov_drops 2" in prometheus_text(rec.snapshot())
 
     def test_empty_input(self):
         assert prometheus_text({}) == ""
 
 
-def span(path, wall, cpu=0.0):
+def span(path, wall, self_s=None, cpu=0.0):
+    """A span event as a recorder writes it; *self_s* defaults to a
+    childless span's (its wall)."""
     name = path.rsplit("/", 1)[-1]
-    return {"t": "span", "name": name, "path": path,
-            "wall_s": wall, "cpu_s": cpu}
+    return {"t": "span", "name": name, "path": path, "wall_s": wall,
+            "cpu_s": cpu, "self_s": wall if self_s is None else self_s}
 
 
 class TestSelfTimeProfile:
@@ -71,7 +72,7 @@ class TestSelfTimeProfile:
         rows = self_time_profile([
             span("cell/trace", 2.0),
             span("cell/solve", 1.0),
-            span("cell", 5.0),
+            span("cell", 5.0, self_s=2.0),
         ])
         by_path = {r.path: r for r in rows}
         assert by_path["cell"].self_s == pytest.approx(2.0)
@@ -82,8 +83,8 @@ class TestSelfTimeProfile:
     def test_multi_level_hierarchy(self):
         rows = self_time_profile([
             span("a/b/c", 1.0),
-            span("a/b", 3.0),
-            span("a", 10.0),
+            span("a/b", 3.0, self_s=2.0),
+            span("a", 10.0, self_s=7.0),
         ])
         by_path = {r.path: r for r in rows}
         assert by_path["a"].self_s == pytest.approx(7.0)
@@ -92,13 +93,19 @@ class TestSelfTimeProfile:
 
     def test_repeated_paths_aggregate(self):
         rows = self_time_profile([
-            span("cell/solve", 1.0), span("cell", 2.0),
-            span("cell/solve", 3.0), span("cell", 4.0),
+            span("cell/solve", 1.0), span("cell", 2.0, self_s=1.0),
+            span("cell/solve", 3.0), span("cell", 4.0, self_s=1.0),
         ])
         by_path = {r.path: r for r in rows}
         assert by_path["cell/solve"].count == 2
         assert by_path["cell/solve"].wall_s == pytest.approx(4.0)
         assert by_path["cell"].self_s == pytest.approx(2.0)
+
+    def test_event_without_self_s_counts_as_childless(self):
+        old = {"t": "span", "name": "cell", "path": "cell", "wall_s": 5.0}
+        rows = self_time_profile([span("cell/trace", 2.0), old])
+        assert {r.path: r.self_s for r in rows} == {"cell": 5.0,
+                                                    "cell/trace": 2.0}
 
     def test_non_span_events_ignored(self):
         assert self_time_profile([{"t": "counter", "name": "x", "value": 1}]) == []
@@ -117,7 +124,7 @@ class TestStatsCli:
         events = [
             {"t": "counter", "name": "smt.queries", "value": 4},
             span("cell/solve", 1.0),
-            span("cell", 3.0),
+            span("cell", 3.0, self_s=2.0),
         ]
         path.write_text("\n".join(json.dumps(e) for e in events) + "\n")
         return str(path)

@@ -98,7 +98,7 @@ class TestParallelMatchesSerial:
 
 class TestAbsorb:
     def test_absorb_merges_spans_counters_hists(self):
-        child = obs.Recorder(sinks=[obs.MemorySink()], hist_values=True)
+        child = obs.Recorder(sinks=[obs.MemorySink()])
         child_sink = child.sinks[0]
         with obs.recording(child):
             with obs.span("stage"):
@@ -119,12 +119,13 @@ class TestAbsorb:
         assert kinds.count("hist") == 0
 
     def test_absorb_without_values_still_merges_counters(self):
-        child = obs.Recorder(sinks=[obs.MemorySink()])  # no hist_values
-        child_sink = child.sinks[0]
-        with obs.recording(child):
-            obs.count("n", 2)
-            obs.observe("h", 1.0)
+        # A hist event written before every stream carried its values:
+        # only its summary, which cannot be merged.
         parent = obs.Recorder()
-        parent.absorb(child_sink.events)
+        parent.absorb([
+            {"t": "counter", "name": "n", "value": 2},
+            {"t": "hist", "name": "h", "count": 1, "total": 1.0,
+             "min": 1.0, "max": 1.0, "mean": 1.0, "p50": 1.0, "p95": 1.0},
+        ])
         assert parent.counters == {"n": 2}
         assert parent.hists == {}

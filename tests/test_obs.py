@@ -11,12 +11,12 @@ import json
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.obs import (
     NULL_SPAN,
     JsonlSink,
     MemorySink,
     Recorder,
-    aggregate_events,
     read_events,
     render_stats,
     session,
@@ -51,7 +51,7 @@ class TestSpans:
         stat = rec.span_stats["outer"]
         assert stat == {"count": 1, "wall_s": 2.0, "cpu_s": 0.5, "self_s": 2.0}
 
-    def test_nesting_paths_and_stage_totals(self):
+    def test_nesting_paths_and_span_totals(self):
         sink = MemorySink()
         rec, wall, _ = make_recorder([sink])
         with rec.span("cell") as cell:
@@ -66,18 +66,50 @@ class TestSpans:
         assert names == ["trace", "solve", "solve", "cell"]
         paths = [e["path"] for e in sink.events if e["t"] == "span"]
         assert paths == ["cell/trace", "cell/solve/solve", "cell/solve", "cell"]
-        # The enclosing span sees a flat per-stage timeline.  The nested
-        # solve contributes to both its parent solve and the cell, so
-        # the cell's solve total counts the inner 0.25 s twice.
-        assert cell.stage_totals["trace"] == 1.0
-        assert cell.stage_totals["solve"] == 0.75
+        # The per-name totals are a flat per-stage timeline.  The nested
+        # solve is counted under its own name and inside its parent
+        # solve, so the solve wall total counts the inner 0.25 s twice.
+        stats = rec.span_stats
+        assert stats["trace"]["wall_s"] == 1.0
+        assert stats["solve"]["wall_s"] == 0.75
         assert cell.wall_s == 1.5
         # Exclusive self-time strips nested children: the outer solve's
         # 0.5 s inclusive wall minus the inner solve's 0.25 s, and the
         # cell itself did no work of its own.
-        assert cell.stage_self_totals["trace"] == 1.0
-        assert cell.stage_self_totals["solve"] == 0.5
+        assert stats["trace"]["self_s"] == 1.0
+        assert stats["solve"]["self_s"] == 0.5
         assert cell.self_s == 0.0
+
+    def test_abort_closes_spans_as_exit_does(self):
+        def close_at_same_time(close):
+            sink = MemorySink()
+            rec, wall, cpu = make_recorder([sink])
+            cell = rec.span("cell").__enter__()
+            wall.advance(0.5)
+            solve = rec.span("solve").__enter__()
+            with rec.span("sat"):
+                wall.advance(0.25)
+            wall.advance(1.0)
+            cpu.advance(0.75)
+            close(rec, solve, cell)
+            assert rec._stack == []
+            events = {e["name"]: (e["wall_s"], e["cpu_s"], e["self_s"])
+                      for e in sink.events if e["t"] == "span"}
+            return events, rec.span_stats
+
+        def exit_both(rec, solve, cell):
+            solve.__exit__(None, None, None)
+            cell.__exit__(None, None, None)
+
+        exited = close_at_same_time(exit_both)
+        aborted = close_at_same_time(
+            lambda rec, *spans: rec.abort_open_spans("sigterm"))
+        assert aborted == exited
+        events, _ = exited
+        # solve's own wall excludes the closed sat child; the cell's
+        # self-time excludes the 1.25 s solve charged to it on close.
+        assert events["solve"] == (1.25, 0.75, 1.0)
+        assert events["cell"] == (1.75, 0.75, 0.5)
 
     def test_span_records_counter_deltas(self):
         sink = MemorySink()
@@ -131,11 +163,10 @@ class TestJsonlRoundTrip:
 
         events = read_events(path)
         assert all(isinstance(e, dict) for e in events)
-        agg = aggregate_events(events)
-        assert agg.counters["widgets"] == 7
-        assert agg.spans["stage"]["wall_s"] == pytest.approx(1.5)
-        assert agg.hists["latency"]["count"] == 1
-        text = render_stats(agg)
+        folded = Recorder()
+        folded.absorb(events)
+        assert folded.snapshot() == rec.snapshot()
+        text = render_stats(folded.snapshot(), len(events))
         assert "stage" in text and "widgets" in text and "latency" in text
 
     def test_concatenated_streams_merge(self, tmp_path):
@@ -148,8 +179,49 @@ class TestJsonlRoundTrip:
             with path.open("a") as fp:
                 for event in sink.events:
                     fp.write(json.dumps(event) + "\n")
-        agg = aggregate_events(read_events(path))
-        assert agg.counters["runs"] == 2
+        folded = Recorder()
+        folded.absorb(read_events(path))
+        assert folded.counters["runs"] == 2
+
+    def test_stats_merges_concatenated_percentiles_exactly(self, tmp_path,
+                                                           capsys):
+        # p50 of the eight observations is 20; the larger of the two
+        # per-stream p50s (2 and 30) is not.
+        parts = []
+        for values in ([1.0, 2.0, 3.0], [10.0, 20.0, 30.0, 40.0, 50.0]):
+            part = tmp_path / f"part{len(parts)}.jsonl"
+            rec, _, _ = make_recorder([JsonlSink(part)])
+            for value in values:
+                rec.observe("latency", value)
+            rec.close()
+            parts.append(part.read_text())
+        path = tmp_path / "both.jsonl"
+        path.write_text("".join(parts))
+        assert main(["stats", str(path)]) == 0
+        captured = capsys.readouterr()
+        row = next(line.split() for line in captured.out.splitlines()
+                   if line.startswith("latency"))
+        count, mean, p50, p95, top = row[1:]
+        assert (int(count), float(mean), float(p50), float(p95),
+                float(top)) == (8, 19.5, 20.0, 50.0, 50.0)
+        assert captured.err == ""
+
+    def test_stats_names_histograms_without_values(self, tmp_path, capsys):
+        # A stream written before hist events carried their values: the
+        # summary cannot be merged, so stats names it instead.
+        events = [
+            {"t": "counter", "name": "runs", "value": 1},
+            {"t": "hist", "name": "smt.solve_s", "count": 2, "total": 0.5,
+             "min": 0.1, "max": 0.4, "mean": 0.25, "p50": 0.4, "p95": 0.4},
+        ]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        assert main(["stats", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "runs" in captured.out
+        assert "smt.solve_s" not in captured.out
+        assert captured.err.count("\n") == 1
+        assert "without raw values (not merged): smt.solve_s" in captured.err
 
 
 class TestJsonlConcurrentWriters:
@@ -214,7 +286,7 @@ class TestOffMode:
         assert obs.span("nothing") is NULL_SPAN
         with obs.span("nothing") as sp:
             sp.set("k", "v")
-            assert sp.stage_totals == {}
+            assert sp.attrs == {}
 
     def test_off_mode_overhead_is_tiny(self):
         # 200k disabled count() calls must stay well under a second:
@@ -310,6 +382,34 @@ class TestEngineWiring:
         assert counters["taint.instructions_tainted"] > 0
         assert counters["smt.queries"] > 0
         assert "smt.conflicts" in counters
+
+    def test_cell_timings_are_the_recorders_span_totals(self):
+        # A cell's stage timeline is what the spans that closed inside
+        # its cell span added to one recorder's per-name totals, also
+        # when the recorder already holds earlier cells' spans.
+        from repro.bombs.suite import get_bomb
+        from repro.eval import run_cell
+
+        def totals(rec, key):
+            return {name: stat[key] for name, stat in rec.span_stats.items()}
+
+        rec = Recorder()
+        with obs.recording(rec, close=False):
+            for bomb, tool in (("cp_stack", "tritonx"), ("sv_time", "bapx"),
+                               ("cp_stack", "angrx_nolib")):
+                before = {key: totals(rec, key)
+                          for key in ("count", "wall_s", "self_s")}
+                cell = run_cell(get_bomb(bomb), tool)
+                ran = {name for name, n in totals(rec, "count").items()
+                       if n > before["count"].get(name, 0)} - {"cell"}
+                assert ran and set(cell.timings) == ran
+                for timings, key in ((cell.timings, "wall_s"),
+                                     (cell.timings_self, "self_s")):
+                    after = totals(rec, key)
+                    delta = {name: after[name] - before[key].get(name, 0.0)
+                             for name in ran}
+                    assert timings == pytest.approx(delta, abs=1e-9)
+        assert "explore" in cell.timings
 
     def test_cell_diagnostic_names_the_root_cause(self):
         from repro.bombs.suite import get_bomb

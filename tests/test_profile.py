@@ -112,7 +112,7 @@ class TestFlushAbsorb:
     def _worker_stream(self, bomb, pc_steps, query_wall):
         """Simulate one worker: profile a cell, return its event stream."""
         sink = obs.MemorySink()
-        rec = obs.Recorder(sinks=[sink], hist_values=True)
+        rec = obs.Recorder(sinks=[sink])
         prof = profile.Profiler()
         with obs.recording(rec):
             with session.overlay(profiler=prof):
@@ -197,7 +197,7 @@ class TestFlushAbsorb:
 class TestTraceStitching:
     def test_parallel_table2_yields_one_stitched_trace(self):
         sink = obs.MemorySink()
-        rec = obs.Recorder(sinks=[sink], hist_values=True)
+        rec = obs.Recorder(sinks=[sink])
         with obs.recording(rec, close=False):
             with session.overlay(profiler=profile.Profiler()):
                 run_table2(bomb_ids=("cp_stack", "sv_time"),
@@ -221,7 +221,7 @@ class TestTraceStitching:
 
     def test_chrome_trace_export_validates(self):
         sink = obs.MemorySink()
-        rec = obs.Recorder(sinks=[sink], hist_values=True)
+        rec = obs.Recorder(sinks=[sink])
         with obs.recording(rec, close=False):
             run_table2(bomb_ids=("cp_stack",), tools=("tritonx",), jobs=2)
         rec.close()
@@ -240,9 +240,9 @@ class TestTraceStitching:
     def test_collapsed_stacks_from_span_stream(self):
         events = [
             {"t": "span", "name": "trace", "path": "cell/trace",
-             "wall_s": 0.25, "cpu_s": 0.0},
+             "wall_s": 0.25, "cpu_s": 0.0, "self_s": 0.25},
             {"t": "span", "name": "cell", "path": "cell",
-             "wall_s": 1.0, "cpu_s": 0.0},
+             "wall_s": 1.0, "cpu_s": 0.0, "self_s": 0.75},
         ]
         text = collapsed_stacks(events)
         assert "cell;trace 250000" in text
@@ -252,7 +252,7 @@ class TestTraceStitching:
 class TestIntegration:
     def test_profiled_cell_attributes_pcs_and_queries(self):
         prof = profile.Profiler()
-        rec = obs.Recorder(sinks=[obs.MemorySink()], hist_values=True)
+        rec = obs.Recorder(sinks=[obs.MemorySink()])
         with obs.recording(rec, close=False):
             with session.overlay(profiler=prof):
                 cell = run_cell(get_bomb("cp_stack"), "tritonx")
@@ -320,7 +320,7 @@ class TestAbortedSpans:
 
     def test_timed_out_worker_surfaces_partial_spans(self):
         sink = obs.MemorySink()
-        rec = obs.Recorder(sinks=[sink], hist_values=True)
+        rec = obs.Recorder(sinks=[sink])
         with obs.recording(rec, close=False):
             cell = run_cell(get_bomb("cf_aes"), "angrx", timeout=0.4)
         assert str(cell.outcome) == "E"
@@ -394,14 +394,14 @@ class TestBucketCounts:
         assert "quantile" not in text
 
     def test_bucket_series_merge_in_aggregate(self):
-        from repro.obs import aggregate_events
-
-        agg = aggregate_events([
-            {"t": "hist", "name": "h", "count": 1, "total": 0.5,
-             "min": 0.5, "max": 0.5, "mean": 0.5, "p50": 0.5, "p95": 0.5,
-             "buckets": {repr(1.0): 1}},
-            {"t": "hist", "name": "h", "count": 2, "total": 20.0,
-             "min": 10.0, "max": 10.0, "mean": 10.0, "p50": 10.0,
-             "p95": 10.0, "buckets": {repr(1.0): 1, repr(10.0): 1}},
-        ])
-        assert agg.hists["h"]["buckets"] == {repr(1.0): 2, repr(10.0): 1}
+        merged = obs.Recorder()
+        for values in ([0.5], [0.75, 10.0]):
+            sink = obs.MemorySink()
+            rec = obs.Recorder(sinks=[sink])
+            for value in values:
+                rec.observe("h", value)
+            rec.close()
+            merged.absorb(sink.events)
+        h = merged.snapshot()["histograms"]["h"]
+        assert h["buckets"] == {repr(1.0): 2, repr(10.0): 1}
+        assert h["count"] == 3 and h["p50"] == 0.75

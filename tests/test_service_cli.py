@@ -155,7 +155,7 @@ class TestFleetVerbs:
         assert "done=   1" in capsys.readouterr().out
 
     def test_worker_metrics_out_streams_jsonl(self, tmp_path, capsys):
-        from repro.obs import aggregate_events, read_events
+        from repro.obs import Recorder, read_events
 
         root = str(tmp_path / "svc")
         metrics = tmp_path / "worker.jsonl"
@@ -167,14 +167,15 @@ class TestFleetVerbs:
                         "--metrics-out", str(metrics)]) == 0
         events = read_events(metrics)  # strict: the stream must be clean
         assert events, "worker --metrics-out produced no events"
-        agg = aggregate_events(events)
-        assert agg.counters.get("service.jobs_completed") == 1
+        folded = Recorder()
+        folded.absorb(events)
+        assert folded.counters.get("service.jobs_completed") == 1
         # The stream feeds `repro stats` directly.
         assert run_cli(["stats", str(metrics)]) == 0
         assert "service" in capsys.readouterr().out
 
     def test_worker_slots_share_one_metrics_stream(self, tmp_path, capsys):
-        from repro.obs import aggregate_events, read_events
+        from repro.obs import Recorder, read_events
 
         root = str(tmp_path / "svc")
         metrics = tmp_path / "fleet.jsonl"
@@ -188,8 +189,9 @@ class TestFleetVerbs:
         # One process with two slots writes one strict-clean stream.
         assert sorted(p.name for p in tmp_path.glob("fleet.jsonl*")) == \
             ["fleet.jsonl"]
-        agg = aggregate_events(read_events(metrics))
-        assert agg.counters.get("service.jobs_completed") == len(BOMBS)
+        folded = Recorder()
+        folded.absorb(read_events(metrics))
+        assert folded.counters.get("service.jobs_completed") == len(BOMBS)
 
     def test_worker_store_alias_and_validation(self, tmp_path, capsys):
         root = str(tmp_path / "svc")

@@ -10,6 +10,10 @@ from repro.service.queue import CLAIMED, DONE, EXHAUSTED, PENDING
 
 CELLS = [("cp_stack", "tritonx"), ("cp_stack", "bapx"), ("sv_time", "tritonx")]
 
+#: A claim's clock readings: the wall-clock time of the claim and its
+#: lease deadline, as the fleet passes them.
+NOW, LEASE = 100.0, 130.0
+
 
 def test_submit_claim_complete_lifecycle(tmp_path):
     with JobQueue(tmp_path / "q.jsonl") as queue:
@@ -17,9 +21,9 @@ def test_submit_claim_complete_lifecycle(tmp_path):
         assert [j.cell for j in jobs] == CELLS
         assert queue.depth() == 3
 
-        first = queue.claim("w0")
+        first = queue.claim("w0", NOW, LEASE)
         assert first.cell == CELLS[0] and first.status == CLAIMED
-        assert first.attempts == 1
+        assert first.attempts == 1 and first.lease_until == LEASE
         queue.complete(first.job_id, result="computed")
         assert queue.jobs[first.job_id].status == DONE
         assert queue.counts() == {PENDING: 2, CLAIMED: 0, DONE: 1,
@@ -29,8 +33,8 @@ def test_submit_claim_complete_lifecycle(tmp_path):
 def test_fifo_order_and_exhaustion(tmp_path):
     with JobQueue(tmp_path / "q.jsonl") as queue:
         queue.submit(CELLS)
-        a = queue.claim("w0")
-        b = queue.claim("w1")
+        a = queue.claim("w0", NOW, LEASE)
+        b = queue.claim("w1", NOW, LEASE)
         assert (a.cell, b.cell) == (CELLS[0], CELLS[1])
         queue.exhaust(a.job_id, reason="worker crashed")
         assert queue.jobs[a.job_id].status == EXHAUSTED
@@ -41,7 +45,7 @@ def test_journal_replay_reconstructs_state(tmp_path):
     path = tmp_path / "q.jsonl"
     with JobQueue(path) as queue:
         queue.submit(CELLS)
-        done = queue.claim("w0")
+        done = queue.claim("w0", NOW, LEASE)
         queue.complete(done.job_id, result="cached")
 
     with JobQueue(path) as reopened:
@@ -49,17 +53,17 @@ def test_journal_replay_reconstructs_state(tmp_path):
                                      EXHAUSTED: 0}
         assert reopened.jobs[done.job_id].result == "cached"
         # Remaining jobs are claimable in the original order.
-        nxt = reopened.claim("w0")
+        nxt = reopened.claim("w0", NOW, LEASE)
         assert nxt.cell == CELLS[1]
 
 
 def test_requeue_backoff_gates_claims(tmp_path):
     with JobQueue(tmp_path / "q.jsonl") as queue:
         queue.submit(CELLS[:1])
-        job = queue.claim("w0")
+        job = queue.claim("w0", NOW, LEASE)
         queue.requeue(job.job_id, reason="worker died", not_before=1000.0)
-        assert queue.claim("w0", now=999.0) is None
-        ready = queue.claim("w0", now=1000.5)
+        assert queue.claim("w0", now=999.0, lease_until=1999.0) is None
+        ready = queue.claim("w0", now=1000.5, lease_until=2000.5)
         assert ready.job_id == job.job_id and ready.attempts == 2
 
 
