@@ -13,7 +13,8 @@ campaign store uses), so
   :class:`SuperBlock` records once and re-dispatched as a unit, and
 * the whole map can be persisted into the campaign store's ``lift/``
   tree, letting a warm campaign skip lifting entirely
-  (``lift.instructions`` stays at zero on a warm run).
+  (``lift.instructions`` stays at zero on a warm run of the same
+  engine source: the store stamps the payload with its digest).
 
 Self-modifying code is handled by :meth:`LiftCache.invalidate_range`:
 any concrete store that overlaps a cached instruction's byte range
@@ -30,10 +31,6 @@ from ..isa import Instruction
 from ..obs import session
 from . import il
 from .lifter import lift
-
-#: Bump when the serialized IL representation changes; persisted lift
-#: payloads under any other schema are ignored (and re-lifted).
-LIFT_SCHEMA = 1
 
 #: Longest straight-line run grouped into one superblock.
 MAX_BLOCK = 64
@@ -217,13 +214,10 @@ class LiftCache:
             for pc, (_, size, stmts) in sorted(self.stmts.items())
             if pc not in self.smc_pcs
         ]
-        return {"schema": LIFT_SCHEMA, "image": self.digest,
-                "entries": entries}
+        return {"image": self.digest, "entries": entries}
 
     def load(self, payload: dict) -> int:
         """Restore persisted entries (never overwriting live ones)."""
-        if payload.get("schema") != LIFT_SCHEMA:
-            return 0
         if payload.get("image") != self.digest:
             return 0
         restored = 0

@@ -3,10 +3,9 @@
 Turns the one-shot Table II harness into a durable analysis service:
 
 * :mod:`~repro.service.fingerprint` — content addresses: a cell result
-  is keyed by (REXF image digest, tool capability fingerprint, harness
-  policy fingerprint);
+  is keyed by (bomb fingerprint, tool capability fingerprint);
 * :mod:`~repro.service.store` — the content-addressed
-  :class:`ResultStore` (atomic writes, schema-versioned documents);
+  :class:`ResultStore` (atomic writes, engine-stamped documents);
 * :mod:`~repro.service.queue` — the durable :class:`JobQueue` (JSONL
   journal with submit/claim/renew/requeue/done/exhaust records);
 * :mod:`~repro.service.fleet` — :class:`FleetWorker`, the one cell
@@ -37,12 +36,7 @@ from .campaign import (
     watch_status,
 )
 from .executor import DEFAULT_RETRIES, KILL_CELL_ENV, infrastructure_failure_cell
-from .fingerprint import (
-    CACHE_SCHEMA,
-    bomb_fingerprint,
-    cell_key,
-    harness_fingerprint,
-)
+from .fingerprint import bomb_fingerprint, cell_key, engine_digest
 from .fleet import (
     DEFAULT_BACKOFF,
     DEFAULT_LEASE_S,
@@ -67,7 +61,6 @@ from .spec import (
 from .store import ResultStore, decode_cell, encode_cell
 
 __all__ = [
-    "CACHE_SCHEMA",
     "CampaignReport",
     "CampaignService",
     "CampaignSpec",
@@ -91,7 +84,7 @@ __all__ = [
     "check_quota",
     "decode_cell",
     "encode_cell",
-    "harness_fingerprint",
+    "engine_digest",
     "image_digest",
     "infrastructure_failure_cell",
     "load_quotas",

@@ -17,8 +17,9 @@ inherits across ``fork``, and it gives every attempt three properties:
   parent absorbs after a *successful* attempt or a terminal timeout, so
   merged counters and stage spans never double-count retried attempts.
 
-Results travel through the filesystem (pickle written to a temp file,
-then ``os.replace``): a killed worker can leave no torn result, and the
+Results travel through the filesystem as the store's cell document
+(:func:`~repro.service.store.encode_cell` to a temp file, then
+``os.replace``): a killed worker can leave no torn result, and the
 parent distinguishes "finished" (result file exists) from "died"
 (no file) purely by what survived.
 
@@ -29,9 +30,9 @@ that cell, after the cell ran and before its result is persisted.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
-import pickle
 import signal
 
 from .. import obs
@@ -42,7 +43,7 @@ from ..errors import DiagnosticKind, DiagnosticLog
 from ..eval.classify import classify
 from ..eval.harness import CellResult, run_cell
 from ..tools.api import ToolReport
-from .store import ResultStore
+from .store import ResultStore, encode_cell
 
 #: Crash retries before a job is classified E (attempts = retries + 1).
 DEFAULT_RETRIES = 2
@@ -80,7 +81,7 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
                  result_path: str, metrics_path: str | None,
                  trace_ctx: tuple | None = None,
                  store_root: str | None = None) -> None:
-    """Worker process: evaluate one cell, persist the pickled result.
+    """Worker process: evaluate one cell, persist its cell document.
 
     *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from the
     parent, so the worker's spans join the parent's trace and the
@@ -129,6 +130,6 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
         # crashed attempt's stream would count this cell twice.
         os.kill(os.getpid(), signal.SIGKILL)
     tmp = result_path + ".tmp"
-    with open(tmp, "wb") as fp:
-        pickle.dump(cell, fp)
+    with open(tmp, "w", encoding="utf-8") as fp:
+        json.dump(encode_cell(cell), fp)
     os.replace(tmp, result_path)

@@ -1,4 +1,4 @@
-"""Content-addressed cache keys for the campaign service.
+"""Content addresses and the engine stamp for the campaign service.
 
 A Table II cell is a pure function of three things:
 
@@ -7,14 +7,15 @@ A Table II cell is a pure function of three things:
    bomb is declared unreachable);
 2. **the tool** — the engine family and the full capability/budget
    matrix of its policy (see :func:`repro.tools.capability_fingerprint`);
-3. **the harness policy** — the classifier's rules and the cache schema
-   itself (:data:`CACHE_SCHEMA`, bumped whenever the stored
-   representation or the classification semantics change).
+3. **the engine** — the source that runs, classifies and stores the
+   cell (:func:`engine_digest`).
 
-:func:`cell_key` hashes all three into one hex digest; the result store
-files cells under that digest.  Editing a bomb source recompiles to a
-different image and therefore a different key — only that bomb's cells
-recompute — while an unchanged campaign is a 100% cache hit.
+:func:`cell_key` hashes the first two into one hex digest, and the
+result store files cells under that digest; it stamps what it writes
+with the third and reads any other stamp as a miss.  Editing a bomb
+source changes only that bomb's keys, editing a tool profile only that
+tool's, editing the engine cold-starts the store once, and an unchanged
+campaign is a 100% cache hit.
 
 The paper's expected labels are deliberately *not* part of the key:
 they only annotate agreement and are re-read from the live dataset when
@@ -25,17 +26,46 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 from ..binfmt import image_digest
 from ..bombs.suite import Bomb
-from ..eval.classify import CONCRETIZATION_THRESHOLD
 from ..tools.api import capability_fingerprint
 from ..vm import Environment
 
-#: Version of the stored cell representation + classification semantics.
-#: Part of every cache key: bumping it cold-starts the store rather than
-#: serving results computed under older semantics.
-CACHE_SCHEMA = 2
+#: Source left out of :func:`engine_digest`.  It cannot change a stored
+#: result (the CLI, telemetry), or changes it only through a value that
+#: is already in the key: compiler, assembler, runtime and dataset act
+#: through the image digest and bomb fingerprint (relabelling a bomb
+#: never invalidates its cells), the two profile modules through the
+#: capability fingerprint (editing one tool re-keys only its cells).
+_NOT_ENGINE = ("cli.py", "tools/profiles.py", "tools/rexx.py",
+               "obs/", "lang/", "asm/", "runtime/", "bombs/")
+
+#: :func:`engine_digest`, once computed; a forked cell worker inherits it.
+_ENGINE_DIGEST: str | None = None
+
+
+def _source_digest(root: Path) -> str:
+    """sha256 over the POSIX path and bytes of every engine ``*.py``
+    file under the package root *root*, in sorted path order."""
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix()
+                      for path in root.rglob("*.py")):
+        if rel.startswith(_NOT_ENGINE):
+            continue
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def engine_digest() -> str:
+    """Digest of the engine source: the stamp on every cell, lift,
+    corpus and diagnosis document the result store writes."""
+    global _ENGINE_DIGEST
+    if _ENGINE_DIGEST is None:
+        _ENGINE_DIGEST = _source_digest(Path(__file__).resolve().parents[1])
+    return _ENGINE_DIGEST
 
 
 def _sha256(text: str) -> str:
@@ -73,21 +103,11 @@ def bomb_fingerprint(bomb: Bomb) -> str:
     return _sha256(_canonical(payload))
 
 
-def harness_fingerprint() -> str:
-    """Digest of the classification policy + cache schema."""
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "concretization_threshold": CONCRETIZATION_THRESHOLD,
-    }
-    return _sha256(_canonical(payload))
-
-
 def cell_key(bomb: Bomb, tool_name: str) -> str:
     """The content address of one (bomb, tool) cell result."""
     payload = {
         "bomb": bomb_fingerprint(bomb),
         "tool": tool_name,
         "capabilities": capability_fingerprint(tool_name),
-        "harness": harness_fingerprint(),
     }
     return _sha256(_canonical(payload))

@@ -45,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import pickle
 import socket
 import tempfile
 import time
@@ -59,6 +58,7 @@ from ..bombs import get_bomb
 from .executor import _mp_context, _worker_main, infrastructure_failure_cell
 from .fingerprint import cell_key
 from .queue import CLAIMED, EXHAUSTED, PENDING, Job, JobQueue
+from .store import decode_cell
 
 #: Default lease duration; a worker renews at half-life, so a lease is
 #: only allowed to expire when the holder missed >= 2 heartbeats.
@@ -441,7 +441,7 @@ class FleetWorker:
                 return None
         on = session.current
         result_path = str(Path(tmpdir) /
-                          f"{cid}-{job.job_id}-a{job.attempts}.pkl")
+                          f"{cid}-{job.job_id}-a{job.attempts}.json")
         metrics_path = trace_ctx = None
         if on.recorder is not None:
             metrics_path = result_path + ".jsonl"
@@ -512,8 +512,8 @@ class FleetWorker:
         if os.path.exists(attempt.result_path):
             # Finished, possibly right at the deadline: the atomic
             # rename means a persisted result is always whole.
-            with open(attempt.result_path, "rb") as fp:
-                cell = pickle.load(fp)
+            with open(attempt.result_path, encoding="utf-8") as fp:
+                cell = decode_cell(json.load(fp), get_bomb(job.bomb_id))
             self._absorb(attempt, strict=True)
             if self.store is not None:
                 # Store before completing: once the journal says done,

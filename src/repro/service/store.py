@@ -12,9 +12,15 @@ is indistinguishable from a fresh run (``table2 --json`` renders byte
 for byte the same).
 
 Writes are atomic (temp file + ``os.replace``) so a crashed writer can
-never leave a torn object; a document that fails to parse or was stored
-under a different :data:`~repro.service.fingerprint.CACHE_SCHEMA` is
-treated as a miss, not an error.
+never leave a torn object; a document that fails to parse is treated as
+a miss, not an error.
+
+Freshness is decided here alone: cell, lift, corpus and diagnosis
+documents are stamped with :func:`~repro.service.fingerprint.engine_digest`
+(their ``schema`` field), and any other stamp reads as a miss, so a
+result never outlives the engine source that computed it.  Query records and manifests carry
+:data:`~repro.smt.querylog.QUERYLOG_SCHEMA` instead: replaying an old
+capture against a new engine is what the solver lab is for.
 
 The paper-expected label is *not* stored: :func:`decode_cell` re-reads
 it from the live bomb, so annotating the dataset never invalidates the
@@ -33,13 +39,10 @@ from .. import obs
 from ..bombs.suite import Bomb
 from ..errors import Diagnostic, DiagnosticKind, DiagnosticLog, ErrorStage
 from ..eval.harness import CellResult
+from ..smt.querylog import QUERYLOG_SCHEMA
 from ..tools.api import ToolReport
 from ..vm import Environment
-from .fingerprint import CACHE_SCHEMA, environment_payload
-
-
-def _encode_env(env: Environment | None) -> dict | None:
-    return environment_payload(env)
+from .fingerprint import engine_digest, environment_payload
 
 
 def _decode_env(data: dict | None) -> Environment | None:
@@ -70,10 +73,10 @@ def _decode_argv(data: list[str] | None) -> list[bytes] | None:
 
 
 def encode_cell(cell: CellResult) -> dict:
-    """Serialize a cell result to a JSON-able document."""
+    """Serialize a cell result to a JSON-able document, losslessly but
+    for ``expected`` and ``infra_failure`` (never set on a stored cell)."""
     report = cell.report
     return {
-        "schema": CACHE_SCHEMA,
         "bomb": cell.bomb_id,
         "tool": cell.tool,
         "outcome": cell.outcome.value,
@@ -83,7 +86,7 @@ def encode_cell(cell: CellResult) -> dict:
         "report": {
             "solved": report.solved,
             "solution": _encode_argv(report.solution),
-            "solution_env": _encode_env(report.solution_env),
+            "solution_env": environment_payload(report.solution_env),
             "goal_claimed": report.goal_claimed,
             "claimed_inputs": [_encode_argv(claim)
                                for claim in report.claimed_inputs],
@@ -152,9 +155,6 @@ class ResultStore:
     def _diagnosis_path(self, key: str) -> Path:
         return self._diagnoses / key[:2] / f"{key}.json"
 
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
-
     def __len__(self) -> int:
         return sum(1 for _ in self._objects.glob("*/*.json"))
 
@@ -180,7 +180,7 @@ class ResultStore:
         obs.count(f"service.{kind}_stores")
 
     @staticmethod
-    def _read(path: Path, schema: int | None = None) -> dict | None:
+    def _read(path: Path, schema: int | str | None = None) -> dict | None:
         """The document at *path*, or None when it is missing or torn,
         or was stored under another *schema* (when one is given)."""
         try:
@@ -195,7 +195,7 @@ class ResultStore:
 
     def get(self, key: str, bomb: Bomb) -> CellResult | None:
         """The stored cell for *key*, or None (counted as hit/miss)."""
-        doc = self._read(self._path(key), CACHE_SCHEMA)
+        doc = self._read(self._path(key), engine_digest())
         if doc is None:
             obs.count("service.cache_misses")
             return None
@@ -204,7 +204,8 @@ class ResultStore:
 
     def put(self, key: str, cell: CellResult) -> None:
         """Store *cell* under *key* atomically (last writer wins)."""
-        self._write(self._path(key), encode_cell(cell), "cache")
+        self._write(self._path(key),
+                    {"schema": engine_digest(), **encode_cell(cell)}, "cache")
 
     # -- persisted lift caches ---------------------------------------------
 
@@ -213,12 +214,12 @@ class ResultStore:
 
     def put_lift(self, digest: str, payload: dict) -> None:
         """Store an image's serialized lift cache (last writer wins)."""
-        self._write(self._lift_path(digest), payload, "lift")
+        self._write(self._lift_path(digest),
+                    {"schema": engine_digest(), **payload}, "lift")
 
     def get_lift(self, digest: str) -> dict | None:
-        """The persisted lift payload for an image digest, or None (its
-        schema is :meth:`repro.ir.superblock.LiftCache.load`'s to check)."""
-        return self._read(self._lift_path(digest))
+        """The persisted lift payload for an image digest, or None."""
+        return self._read(self._lift_path(digest), engine_digest())
 
     # -- persisted fuzzing corpora -----------------------------------------
 
@@ -228,11 +229,11 @@ class ResultStore:
     def put_corpus(self, key: str, payload: dict) -> None:
         """Store a finished fuzz campaign's corpus and verdict."""
         self._write(self._corpus_path(key),
-                    {"schema": CACHE_SCHEMA, **payload}, "corpus")
+                    {"schema": engine_digest(), **payload}, "corpus")
 
     def get_corpus(self, key: str) -> dict | None:
         """The persisted campaign for *key*, or None."""
-        return self._read(self._corpus_path(key), CACHE_SCHEMA)
+        return self._read(self._corpus_path(key), engine_digest())
 
     # -- captured solver queries (the SMT flight recorder) -----------------
 
@@ -271,17 +272,17 @@ class ResultStore:
                            payload: dict) -> None:
         """Store one cell's query occurrence stream (last writer wins)."""
         self._write(self._manifest_path(bomb, tool),
-                    {"schema": CACHE_SCHEMA, "bomb": bomb, "tool": tool,
+                    {"schema": QUERYLOG_SCHEMA, "bomb": bomb, "tool": tool,
                      **payload}, "manifest")
 
     def get_query_manifest(self, bomb: str, tool: str) -> dict | None:
         """The stored manifest for one (bomb, tool) cell, or None."""
-        return self._read(self._manifest_path(bomb, tool), CACHE_SCHEMA)
+        return self._read(self._manifest_path(bomb, tool), QUERYLOG_SCHEMA)
 
     def query_manifests(self) -> list[dict]:
         """Every stored cell manifest, sorted by (bomb, tool); torn or
         stale-schema documents are skipped like any other miss."""
-        docs = [self._read(path, CACHE_SCHEMA) for path in
+        docs = [self._read(path, QUERYLOG_SCHEMA) for path in
                 (self._smtlog / "manifests").glob("*.json")]
         docs = [doc for doc in docs if doc is not None]
         docs.sort(key=lambda d: (d.get("bomb") or "", d.get("tool") or ""))
@@ -292,12 +293,12 @@ class ResultStore:
     def put_diagnosis(self, key: str, diagnosis) -> None:
         """Store a cell's forensic diagnosis next to its result."""
         self._write(self._diagnosis_path(key),
-                    {"schema": CACHE_SCHEMA, **diagnosis.to_json()},
+                    {"schema": engine_digest(), **diagnosis.to_json()},
                     "diagnosis")
 
     def get_diagnosis(self, key: str):
         """The stored diagnosis for *key*, or None."""
         from ..eval.explain import CellDiagnosis
 
-        doc = self._read(self._diagnosis_path(key), CACHE_SCHEMA)
+        doc = self._read(self._diagnosis_path(key), engine_digest())
         return None if doc is None else CellDiagnosis.from_json(doc)

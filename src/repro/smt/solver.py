@@ -113,11 +113,8 @@ class Solver:
         sat = SatSolver(self.max_conflicts, self.max_clauses)
         blaster = BitBlaster(sat)
         try:
-            try:
-                for expr in pending:
-                    blaster.assert_true(expr)
-            except RecursionError:
-                raise SolverError("formula too deep to encode") from None
+            for expr in pending:
+                blaster.assert_true(expr)
             model = sat.solve()
         finally:
             self._last_query_stats = report_sat_stats(sat, blaster, {})
@@ -166,7 +163,7 @@ class IncrementalSolver:
         self._prefix_nodes = 0
         self._prefix_false = False
         #: First encode failure over the prefix (fp theory, symbolic
-        #: divisor, depth): re-raised verbatim on every later query,
+        #: divisor): re-raised verbatim on every later query,
         #: matching the one-shot solver re-hitting it per query.
         self._encode_error: str | None = None
         # The instance's SAT counters at the last flush, so each query
@@ -240,12 +237,7 @@ class IncrementalSolver:
         obs.count("smt.assumption_queries")
         sat, blaster = self._materialize()
         try:
-            bits: list[int] = []
-            try:
-                for expr in pending:
-                    bits.append(blaster.blast(expr)[0])
-            except RecursionError:
-                raise SolverError("formula too deep to encode") from None
+            bits = [blaster.blast(expr)[0] for expr in pending]
             assumptions: list[int] = []
             activation = None
             if bits:
@@ -279,10 +271,7 @@ class IncrementalSolver:
         while self._encoded < len(self._prefix):
             expr = self._prefix[self._encoded]
             try:
-                try:
-                    self._blaster.assert_true(expr)
-                except RecursionError:
-                    raise SolverError("formula too deep to encode") from None
+                self._blaster.assert_true(expr)
             except SolverError as err:
                 self._encode_error = str(err)
                 raise
@@ -383,10 +372,7 @@ def unsat_core(tagged, max_conflicts: int = 100_000,
                 return [tag]  # constant false is a core by itself
             continue
         activation = sat.new_var() * 2
-        try:
-            blaster.assert_true(expr, activation)
-        except RecursionError:
-            raise SolverError("formula too deep to encode") from None
+        blaster.assert_true(expr, activation)
         guarded.append((tag, activation))
     obs.count("prov.core_queries")
     if sat.solve([act for _, act in guarded]) is not None:

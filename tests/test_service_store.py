@@ -1,35 +1,44 @@
-"""Content-addressed result store: keys, round-trips, hit/miss metrics.
+"""Content-addressed result store: keys, stamps, round-trips, hit/miss
+metrics.
 
-The cache-key contract (ISSUE 4): a cell key is a pure function of the
-bomb's compiled image + run context, the tool's capability matrix, and
-the harness/classifier policy.  Editing a bomb source changes its image
-digest — and only that bomb's keys; editing a tool policy changes only
-that tool's keys; the paper's expected labels are *not* part of the key
-and are re-read from the live dataset on decode.
+The cache-key contract: a cell key is a pure function of the bomb's
+compiled image + run context and the tool's capability matrix.  Editing
+a bomb source changes its image digest — and only that bomb's keys;
+editing a tool policy changes only that tool's keys; the paper's
+expected labels are *not* part of the key and are re-read from the live
+dataset on decode.  The engine source is not in the key either: the
+store stamps what it writes with its digest and reads any other stamp
+as a miss.
 """
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.bombs import get_bomb
 from repro.bombs.suite import Bomb
-from repro.eval import run_cell
+from repro.errors import Diagnostic, DiagnosticKind, DiagnosticLog, ErrorStage
+from repro.eval import CellResult, run_cell
 from repro.fuzz import CoverageFuzzer, FuzzConfig, HybridPolicy
 from repro.lang import compile_sources
 from repro.service import (
-    CACHE_SCHEMA,
     ResultStore,
     bomb_fingerprint,
     cell_key,
     decode_cell,
     encode_cell,
+    engine_digest,
+    fingerprint,
     image_digest,
 )
-from repro.tools import capability_fingerprint
+from repro.smt.querylog import QUERYLOG_SCHEMA
+from repro.tools import ToolReport, capability_fingerprint
 from repro.tools.profiles import TRITONX
+from repro.vm import Environment
 
 
 #: ``capability_fingerprint`` of every tool and ``cell_key`` of four
@@ -45,13 +54,13 @@ GOLDEN_CAPABILITIES = {
 }
 GOLDEN_CELL_KEYS = {
     ("cp_stack", "tritonx"):
-        "723fd173898d1c3c417ed345016418bb56f018cdd81405b83841cd8ecd703524",
+        "03f44970e7f2c8eb09ec9f8fb5a423b7ea4d104ab75ae7eaab1b26cca00d5c2a",
     ("sv_time", "hybridx"):
-        "0de38be728cc6765f2db5023759752f1946048052d52f3193a48b6dc52855000",
+        "b0cafaa608246671994c06b0a399111663684ed1f7d29bff0ebdeaa08f5e48dd",
     ("cf_sha1", "sandshrewx"):
-        "208dc2483e229b58d3a6ffa51ae2b538ce1b145dabb9e3e7423dbc3465df2ee2",
+        "9c900d864ed8ba6923ce4ef4c243f246273d8f301ed0e20cea7cb456e98cbbd1",
     ("sa_l1_array", "angrx_nolib"):
-        "02195e0ebf535aa904645b85082672f303aebb5d6e4a3759c6db5fd9975e7f5d",
+        "2d347a98711849c5f4282af352672a7768bfaad7fa65f3933a85dbf2f493047e",
 }
 #: Corpus keys of an ``sv_time`` campaign seeded with ``1``, under the
 #: default ``FuzzConfig`` and under ``HybridPolicy().fuzz_config()``.
@@ -165,6 +174,32 @@ class TestRoundTrip:
             [d.kind for d in solved_cell.report.diagnostics]
         assert clone.to_json() == solved_cell.to_json()
 
+    def test_codec_is_lossless(self):
+        # Fleet workers hand every cell to their parent through this
+        # codec, so it must keep every field a worker's cell can carry.
+        bomb = get_bomb("cs_file_name")
+        env = Environment(time_value=7, pid=8, magic=9,
+                          files={"/z": b"\xff\x00", "/a": b"a"},
+                          network={"http://x": b"ok"}, stdin=b"\x80in")
+        report = ToolReport(
+            tool="rexx", bomb_id="cs_file_name", solved=True,
+            solution=[b"cs", b"\xfe"], solution_env=env, goal_claimed=True,
+            claimed_inputs=[[b"cs", b"a"], [b"cs"]],
+            diagnostics=DiagnosticLog([
+                Diagnostic(DiagnosticKind.CONCRETE_LENGTH, "len", 0x10c),
+                Diagnostic(DiagnosticKind.NO_SYMBOLIC_SOURCE)]),
+            aborted="budget", elapsed=1.25, false_positive=True)
+        cell = CellResult("cs_file_name", "rexx", ErrorStage.ES0,
+                          bomb.expected.get("rexx"), report,
+                          timings={"solve": 0.5}, timings_self={"solve": 0.25},
+                          diagnostic="why")
+        doc = encode_cell(cell)
+        assert set(doc["report"]) | {"tool", "bomb_id"} == \
+            {f.name for f in dataclasses.fields(ToolReport)}
+        assert set(doc["report"]["solution_env"]) == \
+            {f.name for f in dataclasses.fields(Environment)}
+        assert decode_cell(json.loads(json.dumps(doc)), bomb) == cell
+
     def test_decode_rereads_the_paper_label(self, solved_cell):
         bomb = get_bomb("cp_stack")
         doc = encode_cell(solved_cell)
@@ -195,7 +230,7 @@ class TestResultStore:
         assert counters["service.cache_misses"] == 1
         assert counters["service.cache_hits"] == 1
         assert counters["service.cache_stores"] == 1
-        assert len(store) == 1 and key in store
+        assert len(store) == 1 and store._path(key).is_file()
 
     def test_corrupt_object_is_a_miss(self, tmp_path, solved_cell):
         bomb = get_bomb("cp_stack")
@@ -211,9 +246,35 @@ class TestResultStore:
         key = cell_key(bomb, "tritonx")
         store.put(key, solved_cell)
         doc = json.loads(store._path(key).read_text())
-        doc["schema"] = CACHE_SCHEMA + 1
+        assert doc["schema"] == engine_digest()
+        doc["schema"] = "0" * 64
         store._path(key).write_text(json.dumps(doc), encoding="utf-8")
         assert store.get(key, bomb) is None
+
+
+class TestEngineDigest:
+    @pytest.fixture
+    def package(self, tmp_path):
+        """A copy of the ``repro`` package source to edit."""
+        live = Path(fingerprint.__file__).resolve().parents[1]
+        root = tmp_path / "repro"
+        shutil.copytree(live, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert fingerprint._source_digest(root) == engine_digest()
+        return root
+
+    @pytest.mark.parametrize("rel, moves", [
+        ("smt/sat.py", True),
+        ("obs/core.py", False),
+        ("cli.py", False),
+        ("bombs/suite.py", False),
+        ("tools/profiles.py", False),
+    ])
+    def test_only_engine_source_moves_the_digest(self, package, rel, moves):
+        before = fingerprint._source_digest(package)
+        with open(package / rel, "a", encoding="utf-8") as fp:
+            fp.write("# an edit\n")
+        assert (fingerprint._source_digest(package) != before) is moves
 
 
 #: A payload for the kinds whose writer takes one as is.
@@ -228,19 +289,22 @@ def _document_kind(kind, store, cell):
     """
     bomb = get_bomb("cp_stack")
     key = "ab" * 32
+    stamp = engine_digest()
     if kind == "cell":
         def read():
             got = store.get(key, bomb)
-            return None if got is None else encode_cell(got)
+            return None if got is None else {"schema": stamp,
+                                             **encode_cell(got)}
         return (lambda: store.put(key, cell), read, store._path(key),
-                encode_cell(cell))
+                {"schema": stamp, **encode_cell(cell)})
     if kind == "lift":
         return (lambda: store.put_lift(key, _PAYLOAD),
-                lambda: store.get_lift(key), store._lift_path(key), _PAYLOAD)
+                lambda: store.get_lift(key), store._lift_path(key),
+                {"schema": stamp, **_PAYLOAD})
     if kind == "corpus":
         return (lambda: store.put_corpus(key, _PAYLOAD),
                 lambda: store.get_corpus(key), store._corpus_path(key),
-                {"schema": CACHE_SCHEMA, **_PAYLOAD})
+                {"schema": stamp, **_PAYLOAD})
     if kind == "query":
         return (lambda: store.put_query(key, _PAYLOAD),
                 lambda: store.get_query(key), store._query_path(key),
@@ -249,7 +313,7 @@ def _document_kind(kind, store, cell):
         return (lambda: store.put_query_manifest("b", "t", _PAYLOAD),
                 lambda: store.get_query_manifest("b", "t"),
                 store._manifest_path("b", "t"),
-                {"schema": CACHE_SCHEMA, "bomb": "b", "tool": "t",
+                {"schema": QUERYLOG_SCHEMA, "bomb": "b", "tool": "t",
                  **_PAYLOAD})
     from repro.eval import CellDiagnosis, EvidenceItem
 
@@ -258,11 +322,10 @@ def _document_kind(kind, store, cell):
 
     def read():
         got = store.get_diagnosis(key)
-        return None if got is None else {"schema": CACHE_SCHEMA,
-                                         **got.to_json()}
+        return None if got is None else {"schema": stamp, **got.to_json()}
     return (lambda: store.put_diagnosis(key, diagnosis), read,
             store._diagnosis_path(key),
-            {"schema": CACHE_SCHEMA, **diagnosis.to_json()})
+            {"schema": stamp, **diagnosis.to_json()})
 
 
 class _TornFile:
@@ -316,6 +379,19 @@ class TestDocuments:
         path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
         assert read() is None
 
+    @pytest.mark.parametrize("kind, stamped", [
+        ("cell", True), ("lift", True), ("corpus", True),
+        ("diagnosis", True), ("query", False), ("manifest", False)])
+    def test_another_engine_is_a_miss_for_stamped_kinds(
+            self, tmp_path, monkeypatch, kind, stamped, solved_cell):
+        store = ResultStore(tmp_path / "store")
+        write, read, _, doc = _document_kind(kind, store, solved_cell)
+        write()
+        assert read() == doc
+        # The same store read by another engine source.
+        monkeypatch.setattr(fingerprint, "_ENGINE_DIGEST", "0" * 64)
+        assert read() == (None if stamped else doc)
+
 
 class TestQueryStore:
     def test_put_query_dedups_by_digest(self, tmp_path):
@@ -363,7 +439,7 @@ class TestQueryStore:
         stale = json.loads(
             next(p for p in manifests_dir.glob("*.json")
                  if p.name != "torn.json").read_text())
-        stale["schema"] = CACHE_SCHEMA + 1
+        stale["schema"] = QUERYLOG_SCHEMA + 1
         (manifests_dir / "stale.json").write_text(json.dumps(stale))
         listing = store.query_manifests()
         assert [m["bomb"] for m in listing] == ["good"]

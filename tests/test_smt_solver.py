@@ -1,10 +1,13 @@
 """Tests for the solver facade, interval presolve and FP search."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.smt import (
+    IncrementalSolver,
     Solver,
     eval_expr,
     mk_binop,
@@ -18,8 +21,11 @@ from repro.smt import (
     mk_zext,
     search_fp_model,
     solve,
+    unsat_core,
 )
 from repro.smt.intervals import presolve_unsat
+from repro.symex.cache import PathSolver
+from repro.symex.policy import SymexPolicy
 
 
 class TestSolverFacade:
@@ -42,6 +48,45 @@ class TestSolverFacade:
         solver.add(mk_eq(node, mk_const(1, 64)))
         with pytest.raises(SolverError, match="too large"):
             solver.check()
+
+
+@pytest.fixture
+def low_recursion_limit():
+    """The recursion limit lowered to 100 frames above the caller's."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    yield
+    sys.setrecursionlimit(old)
+
+
+class TestDeepFormulas:
+    """Encoding is iterative: a formula several times deeper than the
+    recursion limit reaches the SAT core through every entry point, so
+    a recursive encoder fails here instead of in a cell."""
+
+    def test_every_entry_point_encodes_a_deep_chain(self, low_recursion_limit):
+        chain = mk_var("dc0", 8)
+        for i in range(1, 400):
+            chain = mk_binop("xor", chain, mk_var(f"dc{i}", 8))
+        goal = mk_eq(chain, mk_const(5, 8))
+        clash = mk_eq(chain, mk_const(6, 8))
+
+        solver = Solver()
+        solver.add(goal)
+        result = solver.check()
+        assert result.sat and eval_expr(chain, result.model) == 5
+        prefix = IncrementalSolver()
+        prefix.assert_expr(goal)
+        assert prefix.check().sat
+        assert not prefix.check(clash).sat
+        assert IncrementalSolver().check(goal).sat
+        assert sorted(unsat_core([("goal", goal), ("clash", clash)])) == \
+            ["clash", "goal"]
+        paths = PathSolver(SymexPolicy(name="deep", with_libs=True))
+        assert paths.enumerate_values([goal], chain, limit=4) == [5]
 
 
 class TestIntervalPresolve:
