@@ -472,6 +472,13 @@ def cmd_campaign_results(args) -> int:
 
     service = _campaign_service(args)
     result = service.results(args.campaign)
+    unserved = service.unserved(args.campaign, result)
+    if unserved:
+        from .service import engine_digest
+
+        print(f"campaign results: {unserved} done cell(s) are not in the "
+              f"store under engine {engine_digest()[:12]}; resubmitting "
+              "the campaign recomputes them", file=sys.stderr)
     if args.json:
         print(json.dumps(result.to_json(), indent=2))
     else:
@@ -682,12 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bombs", nargs="*")
     p.add_argument("--tools", nargs="*")
     p.add_argument("--jobs", type=int, metavar="N",
-                   help="keep N cells in flight, each in its own worker "
-                        "process (default: serial, in-process; same "
-                        "output; 0 = one per usable CPU)")
+                   help="keep N cells in flight in up to N long-lived "
+                        "worker processes (default: serial, in-process; "
+                        "same output; 0 = one per usable CPU)")
     p.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="per-cell wall-clock budget; an overrun kills the "
-                        "cell's worker and classifies the cell E")
+                        "cell's worker process and classifies the cell E")
     p.add_argument("--cache", metavar="DIR",
                    help="serve unchanged cells from the content-addressed "
                         "result store at DIR (created on first use)")
@@ -831,9 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="service root shared with `repro serve` and the "
                         "other workers (default ./.repro-service)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="cells this worker keeps in flight, each in its "
-                        "own subprocess (default 1; 0 = one per usable "
-                        "CPU)")
+                   help="cells this worker keeps in flight, in up to N "
+                        "long-lived slot processes (default 1; 0 = one "
+                        "per usable CPU)")
     p.add_argument("--lease", type=float, default=30.0, metavar="SECONDS",
                    help="claim lease duration; a worker missing two "
                         "renewal heartbeats forfeits its cell "

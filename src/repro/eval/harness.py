@@ -213,8 +213,9 @@ def _print_cell(cell: CellResult) -> None:
 def _run_leased(bomb_ids: tuple[str, ...], tools: tuple[str, ...], *,
                 jobs: int, store, **policy) -> Table2Result:
     """The bomb x tool cells through the fleet worker over a private
-    journal in a temp dir: *jobs* cells in flight, each in its own
-    killable process, served from and stored to *store* (or none).
+    journal in a temp dir: *jobs* cells in flight in up to *jobs*
+    long-lived killable slot processes, served from and stored to
+    *store* (or none).
     *policy* is the ``timeout``/``retries`` of a campaign spec.
 
     Cells are keyed by (bomb, tool), so completion order cannot change
@@ -247,8 +248,8 @@ def run_table2(
     """Run the full (or a sliced) Table II evaluation.
 
     *jobs* > 1 keeps that many independent (bomb, tool) cells in
-    flight, each in its own worker process; a parallel run produces the
-    same outcome matrix as the default serial in-process loop.
+    flight in up to that many worker processes; a parallel run produces
+    the same outcome matrix as the default serial in-process loop.
     ``jobs=0`` auto-sizes to the host's usable CPUs
     (:func:`repro.service.fleet.auto_jobs` — the process CPU count
     where the platform reports one, else the scheduling affinity mask,

@@ -18,11 +18,18 @@ Design constraints (why the shape is what it is):
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 import uuid
 
 from . import session as _session
+
+#: Span sequence numbers come from one counter per process, not per
+#: recorder: a process that records with several recorders in turn (a
+#: fleet slot opens one per job) must never mint the same
+#: ``<pid>.<seq>`` span id twice.
+_span_seq = itertools.count(1)
 
 
 class Span:
@@ -60,8 +67,7 @@ class Span:
 
     def __enter__(self) -> "Span":
         rec = self._recorder
-        rec._span_seq += 1
-        self.span_id = "%x.%d" % (rec.pid, rec._span_seq)
+        self.span_id = "%x.%d" % (rec.pid, next(_span_seq))
         if rec._stack:
             self.path = rec._stack[-1].path + "/" + self.name
             self.parent_id = rec._stack[-1].span_id
@@ -163,7 +169,6 @@ class Recorder:
         #: recorder hang under (None for the root recorder).
         self.parent_span_id = parent_span_id
         self.pid = os.getpid()
-        self._span_seq = 0
 
     # -- instrumentation points ------------------------------------------
 

@@ -14,8 +14,9 @@ or store state.
   only the fields it names (``None`` leaves a field as it is), runs the
   exit duty of each collector it named, and restores the previous
   session on exit, also when the block raises.
-* :func:`reset` replaces the session outright: the one call a forked
-  cell worker makes to drop what it inherited.
+* :func:`reset` replaces the session outright: the one call a fleet
+  slot process makes before each cell, to drop what it inherited or
+  kept from its previous cell.
 * :func:`cell` attributes what runs inside it to one (bomb, tool) cell
   on whichever of the profiler and the query recorder is on.
 

@@ -13,8 +13,9 @@ Turns the one-shot Table II harness into a durable analysis service:
   in flight, per-cell wall-clock timeouts, crash requeue with backoff,
   bounded retries, exact metrics absorption.  ``table2 --jobs/--timeout``,
   ``campaign run`` and ``repro worker`` are all thin clients of it;
-* :mod:`~repro.service.executor` — ``_worker_main``, the forked
-  per-cell entry point, and the synthesized infrastructure-failure cell;
+* :mod:`~repro.service.executor` — ``_worker_main``, the long-lived
+  slot process that runs the fleet's cells one after another, and the
+  synthesized infrastructure-failure cell;
 * :mod:`~repro.service.campaign` — the :class:`CampaignService` client
   API behind ``repro campaign submit/run/status/results``;
 * :mod:`~repro.service.spec` — declarative JSON/TOML campaign specs

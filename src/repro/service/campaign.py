@@ -35,7 +35,7 @@ from ..bombs import get_bomb
 from .executor import DEFAULT_RETRIES
 from .fingerprint import cell_key
 from .fleet import FleetWorker, failure_cell
-from .queue import JobQueue
+from .queue import DONE, JobQueue
 from .store import ResultStore
 
 
@@ -198,6 +198,14 @@ class CampaignService:
             if cell is not None:
                 result.add(cell)
         return result
+
+    def unserved(self, cid: str, table) -> int:
+        """How many of *cid*'s done jobs its :meth:`results` *table*
+        lacks: cells the store does not serve under the current engine
+        stamp (computed by another engine version, or since removed)."""
+        with JobQueue(self._campaign_dir(cid) / "queue.jsonl") as queue:
+            return sum(1 for job in queue.ordered_jobs()
+                       if job.status == DONE and job.cell not in table.cells)
 
     # -- helpers ---------------------------------------------------------
 

@@ -1,30 +1,35 @@
-"""The forked cell entry point and the synthesized infrastructure-failure cell.
+"""The cell slot process and the synthesized infrastructure-failure cell.
 
 Every cell that runs outside the serial in-process loop — ``table2
 --jobs/--timeout``, ``run_cell(timeout=)``, ``campaign run`` and ``repro
-worker`` — is started by :class:`repro.service.fleet.FleetWorker` as a
-forked process running :func:`_worker_main`.  That function is the one
-place that drops the session (:mod:`repro.obs.session`) a child
-inherits across ``fork``, and it gives every attempt three properties:
+worker`` — is run by :class:`repro.service.fleet.FleetWorker` in one of
+up to *slots* long-lived forked processes running :func:`_worker_main`.
+A slot receives one job at a time as JSON bytes over its
+``multiprocessing`` connection, runs it with :func:`_attempt`, and
+replies once the result is persisted; it returns when the worker closes
+the connection (or dies).  :func:`_attempt` is the one place that drops
+the session (:mod:`repro.obs.session`) a slot inherits across ``fork``
+or kept from its previous job, and it gives every attempt three
+properties:
 
-* **wall-clock timeouts** — the worker's parent kills an attempt that
+* **wall-clock timeouts** — the worker kills a slot whose attempt
   exceeds the per-cell budget, and a SIGTERM flushes in-flight spans
   first, so killed cells still appear in traces;
-* **crash isolation** — an attempt dying mid-cell (OOM-kill, SIGKILL,
-  interpreter abort) only loses that attempt; the parent requeues or
-  exhausts the job;
+* **crash isolation** — a slot dying mid-cell (OOM-kill, SIGKILL,
+  interpreter abort) only loses that attempt; the worker requeues or
+  exhausts the job and forks a fresh slot for the next one;
 * **exact metrics** — each attempt records to a private JSONL stream the
-  parent absorbs after a *successful* attempt or a terminal timeout, so
+  worker absorbs after a *successful* attempt or a terminal timeout, so
   merged counters and stage spans never double-count retried attempts.
 
 Results travel through the filesystem as the store's cell document
 (:func:`~repro.service.store.encode_cell` to a temp file, then
-``os.replace``): a killed worker can leave no torn result, and the
-parent distinguishes "finished" (result file exists) from "died"
+``os.replace``): a killed slot can leave no torn result, and the
+worker distinguishes "finished" (result file exists) from "died"
 (no file) purely by what survived.
 
 Fault injection for tests: set ``REPRO_SERVICE_KILL_CELL=bomb:tool`` in
-the environment and the worker SIGKILLs itself on the first attempt of
+the environment and the slot SIGKILLs itself on the first attempt of
 that cell, after the cell ran and before its result is persisted.
 """
 
@@ -77,19 +82,42 @@ def infrastructure_failure_cell(bomb: Bomb, tool: str, detail: str,
     )
 
 
-def _worker_main(bomb_id: str, tool: str, attempt: int,
-                 result_path: str, metrics_path: str | None,
-                 trace_ctx: tuple | None = None,
-                 store_root: str | None = None) -> None:
-    """Worker process: evaluate one cell, persist its cell document.
+def _worker_main(conn, parent_end) -> None:
+    """Slot process: run each job received on *conn*, reply when its
+    result is persisted, and return once the worker closes its end.
+
+    *parent_end* is the worker's end of the same pipe, inherited across
+    ``fork``; closing it here is what lets the slot see EOF, and exit,
+    when the worker exits or is killed.  Returning (rather than exiting)
+    after the last job lets a wrapper of this entry point run its own
+    epilogue.
+    """
+    parent_end.close()
+    while True:
+        try:
+            job = json.loads(conn.recv_bytes())
+        except (EOFError, ConnectionError):
+            return
+        _attempt(**job)
+        try:
+            conn.send_bytes(json.dumps({"done": job["result_path"]}).encode())
+        except ConnectionError:
+            return
+
+
+def _attempt(bomb_id: str, tool: str, attempt: int, result_path: str,
+             metrics_path: str | None, trace_ctx: list | None,
+             store_root: str | None) -> None:
+    """Evaluate one cell in this slot and persist its cell document.
 
     *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from the
-    parent, so the worker's spans join the parent's trace and the
-    attribution profiler mirrors the parent's state.  A SIGTERM (the
+    worker, so the attempt's spans join the worker's trace and the
+    attribution profiler mirrors the worker's state.  A SIGTERM (the
     timeout path) flushes in-flight spans with an ``aborted`` attribute
     and the profiler's buckets before exiting, so killed cells still
-    appear in traces.  *store_root* names the result store, so lifts and
-    fuzz corpora persist exactly as in-process.
+    appear in traces; the handler is removed when the attempt ends.
+    *store_root* names the result store, so lifts and fuzz corpora
+    persist exactly as in-process.
     """
     store = None
     if store_root is not None:
@@ -99,8 +127,8 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
         # Inherited lift caches are clean with respect to some other
         # store (or none) and would never persist into this one.
         superblock.reset()
-    # Nothing inherited stays on: the parent's recorder writes to the
-    # parent's fds, and captures and collectors would be lost on exit.
+    # Nothing inherited stays on: the worker's recorder writes to the
+    # worker's fds, and captures and collectors would be lost on exit.
     session.reset(session.Session(store=store))
     bomb = get_bomb(bomb_id)
     if metrics_path is not None:
@@ -118,15 +146,19 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
             recorder.close()
             os._exit(128 + signal.SIGTERM)
 
-        signal.signal(signal.SIGTERM, _terminated)
-        with session.overlay(recorder=recorder, profiler=profiler,
-                             close=True):
-            with obs.span("job", bomb=bomb_id, tool=tool, attempt=attempt):
-                cell = run_cell(bomb, tool)
+        previous = signal.signal(signal.SIGTERM, _terminated)
+        try:
+            with session.overlay(recorder=recorder, profiler=profiler,
+                                 close=True):
+                with obs.span("job", bomb=bomb_id, tool=tool,
+                              attempt=attempt):
+                    cell = run_cell(bomb, tool)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
     else:
         cell = run_cell(bomb, tool)
     if os.environ.get(KILL_CELL_ENV) == f"{bomb_id}:{tool}" and attempt == 1:
-        # After the metrics stream is complete: a parent that absorbed a
+        # After the metrics stream is complete: a worker that absorbed a
         # crashed attempt's stream would count this cell twice.
         os.kill(os.getpid(), signal.SIGKILL)
     tmp = result_path + ".tmp"

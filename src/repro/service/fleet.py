@@ -29,15 +29,18 @@ double-execution:
   Results go through the content-addressed store, so even that
   pathological overlap converges on byte-identical output.
 
-:class:`FleetWorker` is the only code that schedules cell subprocesses.
+:class:`FleetWorker` is the only code that schedules cell processes.
 It keeps up to *slots* cells in flight: it claims a leased cell, serves
-it from the store or starts :func:`~repro.service.executor._worker_main`
-in a killable subprocess, blocks on the children's sentinels until one
-exits or the nearest deadline or lease renewal is due, and records the
-terminal transition.  Every parallel, timed or cached path is a thin
-client of it: ``repro worker --jobs N`` is one worker with N slots,
-``campaign run`` a worker scoped to one campaign, and ``table2
---jobs/--timeout`` a worker over a private journal.
+it from the store or sends it as a JSON job to one of up to *slots*
+long-lived slot processes running
+:func:`~repro.service.executor._worker_main` (forked on the first cell
+that misses the store, replaced only after it dies or is killed on a
+timeout), blocks on the slots' connections and process sentinels until
+one replies or dies, or the nearest deadline or lease renewal is due,
+and records the terminal transition.  Every parallel, timed or cached
+path is a thin client of it: ``repro worker --jobs N`` is one worker
+with N slots, ``campaign run`` a worker scoped to one campaign, and
+``table2 --jobs/--timeout`` a worker over a private journal.
 """
 
 from __future__ import annotations
@@ -305,18 +308,36 @@ def failure_cell(job: Job, timeout: float | None, elapsed: float = 0.0):
 
 @dataclass
 class _Attempt:
-    """One cell subprocess in flight."""
+    """One cell in flight in a slot."""
 
     cid: str
     queue: FleetQueue
     job: Job
     key: str | None
-    proc: object
     result_path: str
     metrics_path: str | None
     started: float
     deadline: float | None
     renew_at: float
+
+
+@dataclass(eq=False)
+class _Slot:
+    """One long-lived cell process, the worker's end of its pipe, and
+    the attempt it is running (None while idle)."""
+
+    proc: object
+    conn: object
+    attempt: _Attempt | None = None
+
+
+def _replied(conn) -> bool:
+    """Consume a slot's done message; False when the slot hung up."""
+    try:
+        conn.recv_bytes()
+    except (EOFError, ConnectionError):
+        return False
+    return True
 
 
 @dataclass
@@ -348,6 +369,7 @@ class FleetWorker:
         self.stats = WorkerStats()
         self._queues: dict[str, FleetQueue] = {}
         self._specs: dict[str, object] = {}
+        self._slots: list[_Slot] = []
 
     # -- discovery -------------------------------------------------------
 
@@ -403,32 +425,35 @@ class FleetWorker:
         a successful claim.  With neither, poll until the process is
         signalled.
         """
-        inflight: list[_Attempt] = []
         idle_since = time.monotonic()
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmpdir:
-            while True:
-                while len(inflight) < self.slots:
-                    claimed = self.claim_next()
-                    if claimed is None:
+            try:
+                while True:
+                    while len(self._busy()) < self.slots:
+                        claimed = self.claim_next()
+                        if claimed is None:
+                            break
+                        idle_since = time.monotonic()
+                        self._start(*claimed, tmpdir)
+                    if self._busy():
+                        self._wait()
+                    elif drain and self.drained():
                         break
-                    idle_since = time.monotonic()
-                    attempt = self._start(*claimed, tmpdir)
-                    if attempt is not None:
-                        inflight.append(attempt)
-                if inflight:
-                    inflight = self._wait(inflight)
-                elif drain and self.drained():
-                    break
-                elif max_idle is not None and \
-                        time.monotonic() - idle_since >= max_idle:
-                    break
-                else:
-                    time.sleep(self.poll_s)
+                    elif max_idle is not None and \
+                            time.monotonic() - idle_since >= max_idle:
+                        break
+                    else:
+                        time.sleep(self.poll_s)
+            finally:
+                self._stop()
         return self.stats
 
+    def _busy(self) -> list[_Slot]:
+        return [slot for slot in self._slots if slot.attempt is not None]
+
     def _start(self, cid: str, queue: FleetQueue, job: Job,
-               tmpdir: str) -> _Attempt | None:
-        """Serve *job* from the store, or start its cell subprocess."""
+               tmpdir: str) -> None:
+        """Serve *job* from the store, or send it to a slot."""
         key = None
         if self.store is not None:
             bomb = get_bomb(job.bomb_id)
@@ -438,7 +463,7 @@ class FleetWorker:
                 if self._record(queue, job, "cached", "complete",
                                 result="cached"):
                     self._deliver(cached)
-                return None
+                return
         on = session.current
         result_path = str(Path(tmpdir) /
                           f"{cid}-{job.job_id}-a{job.attempts}.json")
@@ -447,60 +472,108 @@ class FleetWorker:
             metrics_path = result_path + ".jsonl"
             trace_ctx = (on.recorder.trace_id, on.recorder.current_span_id(),
                          on.profiler is not None)
-        proc = _mp_context().Process(
-            target=_worker_main,
-            args=(job.bomb_id, job.tool, job.attempts, result_path,
-                  metrics_path, trace_ctx,
-                  str(self.store.root) if self.store is not None else None))
-        proc.start()
+        slot = self._send(json.dumps({
+            "bomb_id": job.bomb_id, "tool": job.tool,
+            "attempt": job.attempts, "result_path": result_path,
+            "metrics_path": metrics_path, "trace_ctx": trace_ctx,
+            "store_root": str(self.store.root)
+            if self.store is not None else None}).encode())
         started = time.monotonic()
         timeout = self._spec_for(cid).timeout
-        return _Attempt(cid, queue, job, key, proc, result_path, metrics_path,
-                        started,
-                        started + timeout if timeout is not None else None,
-                        self.clock() + self.lease_s * RENEW_FRACTION)
+        slot.attempt = _Attempt(
+            cid, queue, job, key, result_path, metrics_path, started,
+            started + timeout if timeout is not None else None,
+            self.clock() + self.lease_s * RENEW_FRACTION)
 
-    def _wait(self, inflight: list[_Attempt]) -> list[_Attempt]:
-        """Block until a cell subprocess exits, or the nearest deadline
-        or lease renewal is due (with a slot free, at most ``poll_s``,
-        to look for new work); settle what is due and return the
-        attempts still running."""
+    def _send(self, payload: bytes) -> _Slot:
+        """Hand the job *payload* to an idle slot, forking one when none
+        is idle; a slot that died while idle is joined and passed over."""
+        for slot in [s for s in self._slots if s.attempt is None]:
+            try:
+                slot.conn.send_bytes(payload)
+                return slot
+            except ConnectionError:
+                self._retire(slot)
+        ctx = _mp_context()
+        conn, child_end = ctx.Pipe()
+        proc = ctx.Process(target=_worker_main, args=(child_end, conn))
+        proc.start()
+        child_end.close()
+        slot = _Slot(proc, conn)
+        self._slots.append(slot)
+        conn.send_bytes(payload)
+        return slot
+
+    def _wait(self) -> None:
+        """Block until a busy slot replies or dies, or the nearest
+        deadline or lease renewal is due (with a slot free, at most
+        ``poll_s``, to look for new work), and settle what is due."""
+        busy = self._busy()
         now, wall = time.monotonic(), self.clock()
-        horizon = [a.renew_at - wall for a in inflight]
-        horizon += [a.deadline - now for a in inflight
-                    if a.deadline is not None]
-        if len(inflight) < self.slots:
+        horizon = [slot.attempt.renew_at - wall for slot in busy]
+        horizon += [slot.attempt.deadline - now for slot in busy
+                    if slot.attempt.deadline is not None]
+        if len(busy) < self.slots:
             horizon.append(self.poll_s)
-        wait([a.proc.sentinel for a in inflight],
-             timeout=max(0.0, min(horizon)))
-        running = []
-        for attempt in inflight:
-            proc = attempt.proc
-            if not proc.is_alive():
-                proc.join()
-                self._settle(attempt, timed_out=False)
+        ready = wait([slot.conn for slot in busy] +
+                     [slot.proc.sentinel for slot in busy],
+                     timeout=max(0.0, min(horizon)))
+        for slot in busy:
+            attempt = slot.attempt
+            if slot.conn in ready or slot.proc.sentinel in ready:
+                exitcode = None
+                if slot.proc.sentinel in ready or not _replied(slot.conn):
+                    # The slot died; a result it persisted first still
+                    # counts, else this is the crash path.
+                    exitcode = self._retire(slot)
+                slot.attempt = None
+                self._settle(attempt, timed_out=False, exitcode=exitcode)
             elif attempt.deadline is not None and \
                     time.monotonic() >= attempt.deadline:
-                # SIGTERM first: the attempt's handler flushes partial
-                # spans and profiler buckets.  SIGKILL only an attempt
-                # too wedged to honor it within the grace period.
-                proc.terminate()
-                proc.join(_TERM_GRACE_S)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join()
+                self._kill(slot)
+                slot.attempt = None
                 self._settle(attempt, timed_out=True)
-            else:
-                if self.clock() >= attempt.renew_at:
-                    attempt.queue.renew_lease(attempt.job)
-                    attempt.renew_at = \
-                        self.clock() + self.lease_s * RENEW_FRACTION
-                running.append(attempt)
-        return running
+            elif self.clock() >= attempt.renew_at:
+                attempt.queue.renew_lease(attempt.job)
+                attempt.renew_at = \
+                    self.clock() + self.lease_s * RENEW_FRACTION
+
+    # -- slot lifetime ---------------------------------------------------
+
+    def _retire(self, slot: _Slot) -> int:
+        """Join a slot that died or was killed, drop it, and return its
+        exit code."""
+        slot.proc.join()
+        slot.conn.close()
+        self._slots.remove(slot)
+        return slot.proc.exitcode
+
+    def _kill(self, slot: _Slot) -> None:
+        """SIGTERM first: the attempt's handler flushes partial spans and
+        profiler buckets.  SIGKILL only a slot too wedged to honor it
+        within the grace period."""
+        slot.proc.terminate()
+        slot.proc.join(_TERM_GRACE_S)
+        if slot.proc.exitcode is None:
+            slot.proc.kill()
+        self._retire(slot)
+
+    def _stop(self) -> None:
+        """Kill any slot still running a cell (the loop raised), then
+        close every idle slot's connection, which it reads as EOF and
+        returns, and join them all."""
+        for slot in self._busy():
+            self._kill(slot)
+        for slot in self._slots:
+            slot.conn.close()
+        for slot in self._slots:
+            slot.proc.join()
+        self._slots.clear()
 
     # -- attempt outcomes ------------------------------------------------
 
-    def _settle(self, attempt: _Attempt, *, timed_out: bool) -> None:
+    def _settle(self, attempt: _Attempt, *, timed_out: bool,
+                exitcode: int | None = None) -> None:
         """Classify an attempt that ended and record its transition.
 
         Metrics are absorbed from successful attempts and terminal
@@ -531,7 +604,6 @@ class FleetWorker:
             landed = self._record(queue, job, "timeouts", "complete",
                                   result="timeout")
         else:
-            exitcode = attempt.proc.exitcode
             if job.attempts <= spec.retries:
                 obs.count("service.retries")
                 obs.count("service.requeues")

@@ -12,7 +12,8 @@ The acceptance criteria under test (ISSUE 4):
 * every way to run a matrix — serial, ``jobs=2``, ``jobs=2`` with a
   cache, ``campaign run`` and a fleet drain — renders the same table,
   and ``campaign results`` renders a timed-out or exhausted cell the
-  way ``campaign run`` does.
+  way ``campaign run`` does, and says on stderr how many done cells the
+  store no longer serves after an engine edit.
 """
 
 import json
@@ -20,7 +21,7 @@ import os
 
 import pytest
 
-from repro import obs
+from repro import cli, obs
 from repro.bombs import get_bomb
 from repro.eval import render_table2, run_table2
 from repro.service import (
@@ -29,6 +30,7 @@ from repro.service import (
     CampaignSpec,
     ResultStore,
     cell_key,
+    fingerprint,
     run_fleet,
 )
 
@@ -233,6 +235,24 @@ class TestResultsMatchRun:
         assert render_table2(results) == render_table2(report.table)
         assert results.cells[("cp_stack", "tritonx")].diagnostic == \
             report.table.cells[("cp_stack", "tritonx")].diagnostic
+
+
+    def test_results_name_done_cells_another_engine_stored(
+            self, service, monkeypatch, capsys):
+        spec = CampaignSpec(bombs=BOMBS, tools=("tritonx",))
+        cid = service.submit(spec)
+        service.run(cid)
+        argv = ["campaign", "results", cid, "--root", str(service.root)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        # The same store read after an engine edit: both cells miss.
+        monkeypatch.setattr(fingerprint, "_ENGINE_DIGEST", "0" * 64)
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert "2 done cell(s)" in err[0]
+        assert "engine 000000000000" in err[0]
+        assert "resubmitting the campaign recomputes them" in err[0]
 
 
 def _campaign_run(tmp_path):

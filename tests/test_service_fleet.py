@@ -14,10 +14,15 @@ The acceptance criteria under test (ISSUE 7):
 * a claim by a process of this host that no longer exists is swept at
   once, without waiting out its lease;
 * fleet cells attach the store, and a crashed attempt's partial metrics
-  never reach the worker's recorder.
+  never reach the worker's recorder;
+* cells run in at most *slots* long-lived slot processes: the loop makes
+  a bounded number of ``wait`` calls per cell, a timed-out slot is
+  replaced, and no slot outlives its worker, whether ``run`` returns or
+  raises, or the worker is SIGKILLed.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -40,6 +45,7 @@ from repro.service import (
     run_fleet,
     run_worker,
 )
+from repro.service import fleet
 from repro.service.executor import _mp_context
 from repro.service.queue import CLAIMED, DONE, PENDING, JobQueue
 
@@ -224,11 +230,15 @@ class TestFleetWorker:
         assert render_table2(fleet_svc.results(cid)) == \
             render_table2(solo.table)
 
-    def test_worker_serves_warm_store_without_recomputing(self, tmp_path):
+    def test_worker_serves_warm_store_without_recomputing(
+            self, tmp_path, monkeypatch):
         service = CampaignService(tmp_path / "svc")
         spec = CampaignSpec(bombs=("cp_stack",), tools=("tritonx",))
         service.run(service.submit(spec))          # warms the store
         cid = service.submit(spec)
+        # Slots are forked on the first store miss: here there is none.
+        monkeypatch.setattr(fleet, "_mp_context",
+                            lambda: pytest.fail("forked a slot"))
         stats = FleetWorker(tmp_path / "svc", worker_id="w0",
                             poll_s=0.01).run(drain=True)
         assert stats.cached == 1 and stats.computed == 0
@@ -348,3 +358,136 @@ class TestSigkillRecovery:
         # Byte-identical reassembly from the fleet-produced store.
         assert json.dumps(service.results(cid).to_json()) == \
             json.dumps(service.results(cid).to_json())
+
+
+def _gone(pid: int) -> bool:
+    """True once *pid* has exited (reaped, or a zombie nobody reaps)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fp:
+            return fp.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.fixture
+def slot_pids(tmp_path, monkeypatch):
+    """A directory where every slot process started from now on (also
+    by a worker forked from this test) leaves a file named by its pid:
+    slots start from ``fleet._worker_main``, looked up at fork time."""
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    real_main = fleet._worker_main
+
+    def recording_main(*args):
+        (pids / str(os.getpid())).touch()
+        return real_main(*args)
+
+    monkeypatch.setattr(fleet, "_worker_main", recording_main)
+    return pids
+
+
+class TestSlots:
+    def test_wait_calls_are_bounded_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        real_wait = fleet.wait
+
+        def counting_wait(*args, **kwargs):
+            calls.append(1)
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(fleet, "wait", counting_wait)
+        service = CampaignService(tmp_path / "svc")
+        service.submit(CampaignSpec(bombs=BOMBS, tools=("tritonx", "bapx")))
+        stats = FleetWorker(tmp_path / "svc", worker_id="w0",
+                            slots=2).run(drain=True)
+        assert stats.computed == 4
+        assert len(calls) <= 2 * 4, len(calls)
+
+    @pytest.mark.parametrize("ending", ["drain", "timeout", "crash",
+                                        "on_cell raises"])
+    def test_no_slot_outlives_run(self, tmp_path, monkeypatch, ending):
+        bombs, timeout, on_cell = BOMBS, None, None
+        if ending == "timeout":
+            bombs, timeout = ("cf_aes",), 0.05
+        elif ending == "crash":
+            monkeypatch.setenv(KILL_CELL_ENV, "cp_stack:tritonx")
+        elif ending == "on_cell raises":
+            def on_cell(cell):
+                raise RuntimeError("consumer failed")
+        service = CampaignService(tmp_path / "svc")
+        service.submit(CampaignSpec(bombs=bombs, tools=("tritonx",),
+                                    timeout=timeout))
+        worker = FleetWorker(tmp_path / "svc", worker_id="w0", slots=2,
+                             poll_s=0.01, backoff=0.01, on_cell=on_cell)
+        if on_cell is None:
+            worker.run(drain=True)
+        else:
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                worker.run(drain=True)
+        assert multiprocessing.active_children() == []
+
+    def test_timed_out_slot_is_replaced(self, tmp_path):
+        # One slot: cf_aes overruns and its slot is killed; the next
+        # cell runs in a freshly forked slot and gets its own label.
+        service = CampaignService(tmp_path / "svc")
+        cid = service.submit(CampaignSpec(bombs=("cf_aes", "cp_stack"),
+                                          tools=("tritonx",), timeout=0.5))
+        sink = obs.MemorySink()
+        with obs.recording(obs.Recorder(sinks=[sink]), close=False):
+            stats = FleetWorker(tmp_path / "svc", worker_id="w0",
+                                poll_s=0.01).run(drain=True)
+        assert stats.timeouts == 1 and stats.computed == 1
+        table = service.results(cid)
+        assert table.cells[("cf_aes", "tritonx")].label == "E"
+        cell = table.cells[("cp_stack", "tritonx")]
+        assert cell.label == cell.expected == "ok"
+        jobs = {e["attrs"]["bomb"]: e["pid"] for e in sink.events
+                if e["t"] == "span" and e["name"] == "job"}
+        assert set(jobs) == {"cf_aes", "cp_stack"}
+        assert jobs["cf_aes"] != jobs["cp_stack"]
+
+    def test_slot_killed_while_idle_is_replaced_without_a_retry(
+            self, tmp_path, slot_pids):
+        def kill_idle_slot(cell):
+            # The one slot has just replied and waits for its next job.
+            if cell.bomb_id == BOMBS[0]:
+                (path,) = slot_pids.iterdir()
+                os.kill(int(path.name), signal.SIGKILL)
+                while not _gone(int(path.name)):
+                    time.sleep(0.005)
+
+        service = CampaignService(tmp_path / "svc")
+        cid = service.submit(CampaignSpec(bombs=BOMBS, tools=("tritonx",),
+                                          retries=0))
+        stats = FleetWorker(tmp_path / "svc", worker_id="w0", poll_s=0.01,
+                            on_cell=kill_idle_slot).run(drain=True)
+        assert stats.computed == 2 and stats.requeued == 0
+        assert service.status(cid)["states"]["done"] == 2
+        assert len(list(slot_pids.iterdir())) == 2
+
+    def test_sigkilled_workers_slots_exit(self, tmp_path, slot_pids):
+        # The first two cells keep both slots busy for 0.1-0.3 s, so the
+        # worker dies mid-campaign.
+        root = tmp_path / "fleet"
+        CampaignService(root).submit(CampaignSpec(
+            bombs=("cp_stack",),
+            tools=("angrx", "sandshrewx", "tritonx", "bapx")))
+        doomed = _mp_context().Process(
+            target=run_worker, args=(str(root),),
+            kwargs={"worker_id": "doomed", "slots": 2, "poll_s": 0.01,
+                    "drain": True})
+        doomed.start()
+        deadline = time.monotonic() + 30
+        while len(list(slot_pids.iterdir())) < 2:
+            if time.monotonic() > deadline:
+                pytest.fail("the worker never started two slots")
+            time.sleep(0.005)
+        os.kill(doomed.pid, signal.SIGKILL)
+        doomed.join()
+        assert doomed.exitcode == -signal.SIGKILL
+        slots = [int(path.name) for path in slot_pids.iterdir()]
+        deadline = time.monotonic() + 5
+        while not all(_gone(pid) for pid in slots):
+            if time.monotonic() > deadline:
+                pytest.fail(f"slots {slots} outlived their worker")
+            time.sleep(0.01)
