@@ -374,42 +374,23 @@ def _campaign_service(args):
 
 
 def cmd_campaign_submit(args) -> int:
-    import dataclasses
+    from .service import QuotaExceeded, SpecError, build_spec, load_spec_file
 
-    from .bombs import TABLE2_BOMB_IDS, TOOL_COLUMNS
-    from .service import CampaignSpec, QuotaExceeded, SpecError, load_spec_file
-
-    if args.jobs < 1:
-        raise SystemExit("campaign: --jobs must be >= 1")
+    if args.spec and (args.bombs or args.tools):
+        raise SystemExit("campaign submit: --spec already selects the "
+                         "matrix; drop --bombs/--tools")
+    try:
+        doc = load_spec_file(args.spec) if args.spec else {}
+        # Flags given on the command line override the document's keys.
+        for key in ("bombs", "tools", "jobs", "timeout", "retries", "name",
+                    "tenant"):
+            value = getattr(args, key)
+            if value not in (None, []):
+                doc[key] = value
+        spec = build_spec(doc)
+    except SpecError as err:
+        raise SystemExit(f"campaign submit: {err}")
     service = _campaign_service(args)
-    if args.spec:
-        try:
-            spec = load_spec_file(args.spec)
-        except SpecError as err:
-            raise SystemExit(f"campaign submit: {err}")
-        if args.bombs or args.tools:
-            raise SystemExit("campaign submit: --spec already selects the "
-                             "matrix; drop --bombs/--tools")
-        # Command-line execution knobs override the document's.
-        overrides = {}
-        if args.name:
-            overrides["name"] = args.name
-        if args.tenant:
-            overrides["tenant"] = args.tenant
-        if args.timeout is not None:
-            overrides["timeout"] = args.timeout
-        if overrides:
-            spec = dataclasses.replace(spec, **overrides)
-    else:
-        spec = CampaignSpec(
-            bombs=tuple(args.bombs) if args.bombs else TABLE2_BOMB_IDS,
-            tools=tuple(args.tools) if args.tools else TOOL_COLUMNS,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            retries=args.retries,
-            name=args.name or "",
-            tenant=args.tenant or "",
-        )
     try:
         cid = service.submit(spec)
     except QuotaExceeded as err:
@@ -425,6 +406,9 @@ def cmd_campaign_submit(args) -> int:
 
 
 def cmd_campaign_run(args) -> int:
+    if args.jobs is not None and args.jobs < 0:
+        raise SystemExit("campaign run: --jobs must be >= 0 "
+                         "(0 = auto-detect)")
     service = _campaign_service(args)
     with _metrics(args):
         report = service.run(args.campaign, jobs=args.jobs)
@@ -765,10 +749,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "default ./.repro-service")
     c.add_argument("--bombs", nargs="*")
     c.add_argument("--tools", nargs="*")
-    c.add_argument("--jobs", type=int, default=1, metavar="N")
+    c.add_argument("--jobs", type=int, metavar="N",
+                   help="cells in flight when the campaign runs "
+                        "(default 1; 0 = one per usable CPU)")
     c.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="per-cell wall-clock budget (overruns become E)")
-    c.add_argument("--retries", type=int, default=2, metavar="K",
+    c.add_argument("--retries", type=int, metavar="K",
                    help="crash retries per cell before it is "
                         "classified E (default 2)")
     c.add_argument("--name", metavar="LABEL")
@@ -776,9 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quota-accounting tag (budgets in "
                         "<root>/quotas.json)")
     c.add_argument("--spec", metavar="FILE",
-                   help="submit a declarative spec document instead of "
-                        "flags (.json or .toml; see the README's spec "
-                        "format)")
+                   help="submit a declarative spec document (.json or "
+                        ".toml; see the README's spec format); the other "
+                        "flags override its keys")
     c.add_argument("--run", action="store_true",
                    help="drive the campaign to completion immediately")
     c.add_argument("--metrics-out", metavar="FILE.jsonl")
@@ -789,7 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("campaign")
     c.add_argument("--root", default=".repro-service", metavar="DIR")
     c.add_argument("--jobs", type=int, metavar="N",
-                   help="override the spec's worker count")
+                   help="override the spec's worker count "
+                        "(0 = one per usable CPU)")
     c.add_argument("--metrics-out", metavar="FILE.jsonl")
     c.set_defaults(func=cmd_campaign_run)
 

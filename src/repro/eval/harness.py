@@ -10,10 +10,9 @@ Without a timeout or a worker count, cells run serially in-process
 (with ``cache=``, served from and stored to the content-addressed result
 store).  Every parallel or timed cell goes through the campaign
 service's one scheduler, :class:`repro.service.fleet.FleetWorker`, over
-a private journal: ``run_cell(..., timeout=)`` runs the cell in a
-killable worker process so a stuck tool maps to ``E`` instead of hanging
-the harness, and ``run_table2(..., jobs=, timeout=)`` keeps N such
-cells in flight.
+a private journal: ``run_table2(..., jobs=, timeout=)`` keeps N cells
+in flight in killable slot processes, so a stuck tool maps to ``E``
+instead of hanging the harness.
 """
 
 from __future__ import annotations
@@ -147,19 +146,8 @@ class Table2Result:
         }
 
 
-def run_cell(bomb: Bomb, tool_name: str,
-             timeout: float | None = None) -> CellResult:
-    """Evaluate one (bomb, tool) pair.
-
-    With *timeout* (wall-clock seconds) the cell runs once, without
-    retries, in a killable worker process: an overrun is classified
-    ``E`` with a ``resource-exhausted`` diagnostic instead of hanging
-    the caller.
-    """
-    if timeout is not None:
-        result = _run_leased((bomb.bomb_id,), (tool_name,), jobs=1,
-                             store=None, timeout=timeout, retries=0)
-        return result.cells[(bomb.bomb_id, tool_name)]
+def run_cell(bomb: Bomb, tool_name: str) -> CellResult:
+    """Evaluate one (bomb, tool) pair in this process."""
     tool = get_tool(tool_name)
     rec = session.current.recorder
     stats = rec.span_stats if rec is not None else {}
@@ -211,12 +199,12 @@ def _print_cell(cell: CellResult) -> None:
 
 
 def _run_leased(bomb_ids: tuple[str, ...], tools: tuple[str, ...], *,
-                jobs: int, store, **policy) -> Table2Result:
+                jobs: int, store, timeout: float | None) -> Table2Result:
     """The bomb x tool cells through the fleet worker over a private
     journal in a temp dir: *jobs* cells in flight in up to *jobs*
-    long-lived killable slot processes, served from and stored to
-    *store* (or none).
-    *policy* is the ``timeout``/``retries`` of a campaign spec.
+    long-lived killable slot processes, each killed and classified
+    ``E`` after *timeout* seconds, served from and stored to *store*
+    (or none).
 
     Cells are keyed by (bomb, tool), so completion order cannot change
     the rendered or JSON output.
@@ -229,7 +217,8 @@ def _run_leased(bomb_ids: tuple[str, ...], tools: tuple[str, ...], *,
     result = Table2Result()
     with tempfile.TemporaryDirectory(prefix="repro-matrix-") as root:
         cid = CampaignService(root).submit(
-            CampaignSpec(bombs=tuple(bomb_ids), tools=tuple(tools), **policy))
+            CampaignSpec(bombs=tuple(bomb_ids), tools=tuple(tools),
+                         timeout=timeout))
         worker = FleetWorker(root, slots=jobs, campaign=cid,
                              on_cell=result.add)
         worker.store = store

@@ -6,13 +6,15 @@ Turns the one-shot Table II harness into a durable analysis service:
   is keyed by (bomb fingerprint, tool capability fingerprint);
 * :mod:`~repro.service.store` — the content-addressed
   :class:`ResultStore` (atomic writes, engine-stamped documents);
-* :mod:`~repro.service.queue` — the durable :class:`JobQueue` (JSONL
-  journal with submit/claim/renew/requeue/done/exhaust records);
+* :mod:`~repro.service.queue` — :class:`JobQueue`, the one reader and
+  writer of a campaign's JSONL journal: submit/claim/renew/requeue/
+  done/exhaust records appended under a ``flock``, lease-based claims
+  with the expiry sweep, and stale-transition discard;
 * :mod:`~repro.service.fleet` — :class:`FleetWorker`, the one cell
-  scheduler: lease-based claims over a shared journal, up to N cells
-  in flight, per-cell wall-clock timeouts, crash requeue with backoff,
-  bounded retries, exact metrics absorption.  ``table2 --jobs/--timeout``,
-  ``campaign run`` and ``repro worker`` are all thin clients of it;
+  scheduler: up to N cells in flight, per-cell wall-clock timeouts,
+  crash requeue with backoff, bounded retries, exact metrics
+  absorption.  ``table2 --jobs/--timeout``, ``campaign run`` and
+  ``repro worker`` are all thin clients of it;
 * :mod:`~repro.service.executor` — ``_worker_main``, the long-lived
   slot process that runs the fleet's cells one after another, and the
   synthesized infrastructure-failure cell;
@@ -38,17 +40,8 @@ from .campaign import (
 )
 from .executor import DEFAULT_RETRIES, KILL_CELL_ENV, infrastructure_failure_cell
 from .fingerprint import bomb_fingerprint, cell_key, engine_digest
-from .fleet import (
-    DEFAULT_BACKOFF,
-    DEFAULT_LEASE_S,
-    FleetQueue,
-    FleetWorker,
-    WorkerStats,
-    auto_jobs,
-    run_fleet,
-    run_worker,
-)
-from .queue import Job, JobQueue
+from .fleet import DEFAULT_BACKOFF, FleetWorker, WorkerStats, auto_jobs, run_fleet
+from .queue import DEFAULT_LEASE_S, Job, JobQueue
 from .spec import (
     QuotaExceeded,
     SpecError,
@@ -68,7 +61,6 @@ __all__ = [
     "DEFAULT_BACKOFF",
     "DEFAULT_LEASE_S",
     "DEFAULT_RETRIES",
-    "FleetQueue",
     "FleetWorker",
     "Job",
     "JobQueue",
@@ -93,7 +85,6 @@ __all__ = [
     "parse_spec_text",
     "render_status_line",
     "run_fleet",
-    "run_worker",
     "status_events",
     "status_finished",
     "watch_status",

@@ -15,7 +15,8 @@ is byte-identical to the cold run.  ``run`` drives the campaign with a
 :class:`~repro.service.fleet.FleetWorker` scoped to it.  Killing the
 driver (or a worker) mid-campaign never loses or duplicates a cell: the
 next ``run`` finds the dead process's claims and requeues them at once
-(see :mod:`repro.service.fleet`).
+(see :mod:`repro.service.queue`).  ``status`` and ``results`` only read
+the journal.
 
 Campaign ids are content-derived (``c<digest8>`` of the workload) with
 a numeric suffix per submission, so ``submit`` is cheap to script and
@@ -138,8 +139,7 @@ class CampaignService:
         cdir.mkdir(parents=True)
         (cdir / "spec.json").write_text(
             json.dumps(spec.to_json(), indent=2) + "\n", encoding="utf-8")
-        with JobQueue(cdir / "queue.jsonl") as queue:
-            queue.submit(spec.cells())
+        self._queue(cid).submit(spec.cells())
         obs.count("service.campaigns_submitted")
         return cid
 
@@ -160,18 +160,17 @@ class CampaignService:
     def status(self, cid: str) -> dict:
         """Queue-level progress snapshot (does not execute anything)."""
         spec = self.spec(cid)
-        with JobQueue(self._campaign_dir(cid) / "queue.jsonl") as queue:
-            counts = queue.counts()
-            results: dict[str, int] = {}
-            for job in queue.ordered_jobs():
-                if job.result is not None:
-                    results[job.result] = results.get(job.result, 0) + 1
+        queue = self._queue(cid)
+        results: dict[str, int] = {}
+        for job in queue.ordered_jobs():
+            if job.result is not None:
+                results[job.result] = results.get(job.result, 0) + 1
         return {
             "campaign": cid,
             "name": spec.name,
             "tenant": spec.tenant,
             "cells": len(spec.cells()),
-            "states": counts,
+            "states": queue.counts(),
             "results": results,
         }
 
@@ -186,8 +185,7 @@ class CampaignService:
         from ..eval.harness import Table2Result
 
         spec = self.spec(cid)
-        with JobQueue(self._campaign_dir(cid) / "queue.jsonl") as queue:
-            jobs = {job.cell: job for job in queue.ordered_jobs()}
+        jobs = {job.cell: job for job in self._queue(cid).ordered_jobs()}
         result = Table2Result()
         for bomb_id, tool in spec.cells():
             job = jobs.get((bomb_id, tool))
@@ -203,9 +201,8 @@ class CampaignService:
         """How many of *cid*'s done jobs its :meth:`results` *table*
         lacks: cells the store does not serve under the current engine
         stamp (computed by another engine version, or since removed)."""
-        with JobQueue(self._campaign_dir(cid) / "queue.jsonl") as queue:
-            return sum(1 for job in queue.ordered_jobs()
-                       if job.status == DONE and job.cell not in table.cells)
+        return sum(1 for job in self._queue(cid).ordered_jobs()
+                   if job.status == DONE and job.cell not in table.cells)
 
     # -- helpers ---------------------------------------------------------
 
@@ -217,6 +214,10 @@ class CampaignService:
         path = self._campaign_dir(cid) / "spec.json"
         return CampaignSpec.from_json(
             json.loads(path.read_text(encoding="utf-8")))
+
+    def _queue(self, cid: str, *args, **kw) -> JobQueue:
+        """*cid*'s journal; *args* and *kw* go to :class:`JobQueue`."""
+        return JobQueue(self._campaign_dir(cid) / "queue.jsonl", *args, **kw)
 
     def _campaign_dir(self, cid: str) -> Path:
         cdir = self._campaigns_dir / cid

@@ -1,9 +1,9 @@
 """The cell slot process and the synthesized infrastructure-failure cell.
 
 Every cell that runs outside the serial in-process loop — ``table2
---jobs/--timeout``, ``run_cell(timeout=)``, ``campaign run`` and ``repro
-worker`` — is run by :class:`repro.service.fleet.FleetWorker` in one of
-up to *slots* long-lived forked processes running :func:`_worker_main`.
+--jobs/--timeout``, ``campaign run`` and ``repro worker`` — is run by
+:class:`repro.service.fleet.FleetWorker` in one of up to *slots*
+long-lived forked processes running :func:`_worker_main`.
 A slot receives one job at a time as JSON bytes over its
 ``multiprocessing`` connection, runs it with :func:`_attempt`, and
 replies once the result is persisted; it returns when the worker closes

@@ -1,46 +1,25 @@
-"""The one cell scheduler: lease-based claims over a shared journal.
-
-:class:`~repro.service.queue.JobQueue` is a JSONL journal of job
-transitions; this module turns it into a **multi-writer coordination
-protocol** so worker processes (``repro worker --root DIR``, any number
-of hosts sharing the filesystem) drain campaigns cooperatively without
-double-execution:
-
-* every mutating transition happens under an exclusive lock on a
-  sidecar ``queue.jsonl.lock`` file (``flock`` where available, an
-  ``O_EXCL`` spin-lock elsewhere), and begins by **refreshing** — an
-  incremental, offset-tracked replay of journal records other workers
-  appended since the last look;
-* a claim carries the worker id and a wall-clock ``lease_until``
-  deadline; a live worker heartbeats ``renew`` records while its cell
-  runs, so a long cell never loses its lease;
-* a claim whose lease expired (the worker was SIGKILLed, OOM-killed, or
-  its host died) is requeued — with ``service.lease_expired`` and
-  ``service.requeues`` counted — by whichever worker observes the
-  expiry at its next claim, and the cell is completed by a survivor;
-  a claim by ``<this host>:<pid>`` whose pid no longer exists counts
-  as expired at once, so a restarted ``campaign run`` resumes without
-  waiting out the lease (a false positive only costs a duplicate run,
-  whose stale transition is discarded as below);
-* before recording ``done``/``requeue``/``exhaust``, a worker re-checks
-  (under the lock) that it *still* holds the claim; a worker that
-  stalled past its lease and lost the job to a survivor discards its
-  transition (``service.lease_lost``) instead of double-completing.
-  Results go through the content-addressed store, so even that
-  pathological overlap converges on byte-identical output.
+"""The one cell scheduler: a pull loop over the campaign journals.
 
 :class:`FleetWorker` is the only code that schedules cell processes.
-It keeps up to *slots* cells in flight: it claims a leased cell, serves
-it from the store or sends it as a JSON job to one of up to *slots*
-long-lived slot processes running
+Worker processes (``repro worker --root DIR``, any number of hosts
+sharing the filesystem) drain campaigns together through each
+campaign's :class:`~repro.service.queue.JobQueue`, which owns the
+journal, its lock and the lease rules; this module keeps only the
+scheduling.  A worker keeps up to *slots* cells in flight: it claims a
+leased cell, serves it from the store or sends it as a JSON job to one
+of up to *slots* long-lived slot processes running
 :func:`~repro.service.executor._worker_main` (forked on the first cell
 that misses the store, replaced only after it dies or is killed on a
 timeout), blocks on the slots' connections and process sentinels until
 one replies or dies, or the nearest deadline or lease renewal is due,
-and records the terminal transition.  Every parallel, timed or cached
-path is a thin client of it: ``repro worker --jobs N`` is one worker
-with N slots, ``campaign run`` a worker scoped to one campaign, and
-``table2 --jobs/--timeout`` a worker over a private journal.
+and records the terminal transition.  Results go through the
+content-addressed store, so even a stalled worker's overlap with the
+survivor that took its claim converges on byte-identical output.
+
+Every parallel, timed or cached path is a thin client of it: ``repro
+worker --jobs N`` is one worker with N slots (0 = one per usable CPU),
+``campaign run`` a worker scoped to one campaign, and ``table2
+--jobs/--timeout`` a worker over a private journal.
 """
 
 from __future__ import annotations
@@ -48,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -60,12 +38,17 @@ from ..obs import read_events, session
 from ..bombs import get_bomb
 from .executor import _mp_context, _worker_main, infrastructure_failure_cell
 from .fingerprint import cell_key
-from .queue import CLAIMED, EXHAUSTED, PENDING, Job, JobQueue
+from .queue import (
+    CLAIMED,
+    DEFAULT_LEASE_S,
+    EXHAUSTED,
+    PENDING,
+    Job,
+    JobQueue,
+    default_worker_id,
+)
 from .store import decode_cell
 
-#: Default lease duration; a worker renews at half-life, so a lease is
-#: only allowed to expire when the holder missed >= 2 heartbeats.
-DEFAULT_LEASE_S = 30.0
 #: Fraction of the lease after which the holder heartbeats a renewal.
 RENEW_FRACTION = 0.5
 #: Base of the exponential requeue backoff, in seconds.
@@ -91,192 +74,6 @@ def auto_jobs() -> int:
     except (AttributeError, OSError):
         pass
     return os.cpu_count() or 1
-
-
-def default_worker_id() -> str:
-    return f"{socket.gethostname()}:{os.getpid()}"
-
-
-def _gone_local(worker: str | None) -> bool:
-    """True when *worker* is ``<this host>:<pid>`` and that pid is gone."""
-    host, _, pid = (worker or "").rpartition(":")
-    if host != socket.gethostname() or not pid.isdigit():
-        return False
-    try:
-        os.kill(int(pid), 0)
-    except ProcessLookupError:
-        return True
-    except OSError:  # EPERM: alive, owned by another user
-        pass
-    return False
-
-
-class _FileLock:
-    """Exclusive advisory lock on a sidecar file.
-
-    ``flock`` where the platform has it (waits in the kernel, released
-    automatically if the holder dies); otherwise an ``O_CREAT|O_EXCL``
-    spin-lock with a staleness bound so a crashed holder cannot wedge
-    the fleet forever.
-    """
-
-    _STALE_S = 60.0
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._fd: int | None = None
-        try:
-            import fcntl  # noqa: F401 - availability probe
-            self._flock = True
-        except ImportError:  # pragma: no cover - non-POSIX fallback
-            self._flock = False
-
-    def acquire(self) -> None:
-        if self._flock:
-            import fcntl
-
-            self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-            return
-        while True:  # pragma: no cover - non-POSIX fallback
-            try:
-                self._fd = os.open(self.path,
-                                   os.O_CREAT | os.O_EXCL | os.O_RDWR)
-                return
-            except FileExistsError:
-                try:
-                    if time.time() - self.path.stat().st_mtime > self._STALE_S:
-                        self.path.unlink(missing_ok=True)
-                        continue
-                except OSError:
-                    pass
-                time.sleep(0.005)
-
-    def release(self) -> None:
-        if self._fd is None:
-            return
-        if self._flock:
-            import fcntl
-
-            fcntl.flock(self._fd, fcntl.LOCK_UN)
-            os.close(self._fd)
-        else:  # pragma: no cover - non-POSIX fallback
-            os.close(self._fd)
-            self.path.unlink(missing_ok=True)
-        self._fd = None
-
-    @contextlib.contextmanager
-    def held(self):
-        self.acquire()
-        try:
-            yield
-        finally:
-            self.release()
-
-
-class FleetQueue(JobQueue):
-    """Multi-writer view of one campaign's journal.
-
-    Layered on :class:`JobQueue`: same records, same replay, plus an
-    exclusive lock around every transition, an incremental
-    offset-tracked ``refresh`` so concurrent appenders' records are
-    folded in before any decision, and lease bookkeeping on claims.
-    """
-
-    def __init__(self, path: str | os.PathLike, worker_id: str, *,
-                 lease_s: float = DEFAULT_LEASE_S, clock=time.time):
-        self.worker_id = worker_id
-        self.lease_s = lease_s
-        self.clock = clock
-        self._offset = 0
-        path = Path(path)
-        self._lock = _FileLock(path.with_name(path.name + ".lock"))
-        super().__init__(path)
-
-    def _replay(self) -> None:
-        # Initial state is just a refresh from offset 0; _apply'ing a
-        # record twice converges, so refresh() after our own appends
-        # (which base _append already applied in memory) is harmless.
-        self.refresh()
-
-    def refresh(self) -> int:
-        """Fold in journal records appended since the last look.
-
-        Reads complete lines from the stored byte offset; a torn tail
-        (a writer mid-append on another host) is left for next time.
-        Returns the number of records applied.
-        """
-        if not self.path.exists():
-            return 0
-        with self.path.open("rb") as fp:
-            fp.seek(self._offset)
-            data = fp.read()
-        end = data.rfind(b"\n")
-        if end < 0:
-            return 0
-        applied = 0
-        for raw in data[:end].split(b"\n"):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except ValueError:
-                continue  # corrupt line (torn write + later append)
-            self._apply(record)
-            applied += 1
-        self._offset += end + 1
-        return applied
-
-    # -- leased transitions ---------------------------------------------
-
-    def claim_leased(self) -> Job | None:
-        """Claim the next ready job under the lock, with a fresh lease.
-
-        Also the expiry sweep: any claim whose lease deadline passed, or
-        whose claimant is a process of this host that no longer exists,
-        is requeued first (``service.lease_expired``), making the dead
-        worker's cell immediately claimable — possibly by us, in this
-        very call.
-        """
-        with self._lock.held():
-            self.refresh()
-            now = self.clock()
-            for job in self.ordered_jobs():
-                if job.status == CLAIMED and (
-                        job.lease_until is not None and job.lease_until <= now
-                        or _gone_local(job.worker)):
-                    obs.count("service.lease_expired")
-                    obs.count("service.requeues")
-                    self.requeue(
-                        job.job_id,
-                        reason=f"lease expired (worker {job.worker})")
-            return self.claim(self.worker_id, now=now,
-                              lease_until=now + self.lease_s)
-
-    def renew_lease(self, job: Job) -> None:
-        """Heartbeat: extend our lease while the cell is still running."""
-        with self._lock.held():
-            self.refresh()
-            self.renew(job.job_id, self.worker_id,
-                       self.clock() + self.lease_s)
-
-    def finish_leased(self, job: Job, transition: str, **kw) -> bool:
-        """Record a terminal transition iff we still hold the claim.
-
-        *transition* is ``complete`` / ``requeue`` / ``exhaust``.  A
-        worker that stalled past its lease finds the job requeued or
-        re-claimed by a survivor; it must drop its transition (the
-        survivor owns the job now) — counted as ``service.lease_lost``.
-        """
-        with self._lock.held():
-            self.refresh()
-            current = self.jobs.get(job.job_id)
-            if current is None or current.status != CLAIMED \
-                    or current.worker != self.worker_id:
-                obs.count("service.lease_lost")
-                return False
-            getattr(self, transition)(job.job_id, **kw)
-            return True
 
 
 @dataclass
@@ -311,7 +108,7 @@ class _Attempt:
     """One cell in flight in a slot."""
 
     cid: str
-    queue: FleetQueue
+    queue: JobQueue
     job: Job
     key: str | None
     result_path: str
@@ -344,8 +141,9 @@ def _replied(conn) -> bool:
 class FleetWorker:
     """Pull-loop worker keeping up to *slots* cells in flight.
 
-    Claims from every campaign under *root*, or only from *campaign*
-    when set.  ``store`` starts as the root's shared result store;
+    *slots* 0 means one per usable CPU (:func:`auto_jobs`).  Claims
+    from every campaign under *root*, or only from *campaign* when set.
+    ``store`` starts as the root's shared result store;
     assign another store, or None, before :meth:`run` to override it.
     *on_cell* receives every cell whose terminal transition this worker
     recorded: cached, computed, or a synthesized E.
@@ -364,10 +162,11 @@ class FleetWorker:
     def __post_init__(self):
         from .campaign import CampaignService
 
+        self.slots = self.slots or auto_jobs()
         self.service = CampaignService(self.root)
         self.store = self.service.store
         self.stats = WorkerStats()
-        self._queues: dict[str, FleetQueue] = {}
+        self._queues: dict[str, JobQueue] = {}
         self._specs: dict[str, object] = {}
         self._slots: list[_Slot] = []
 
@@ -378,13 +177,11 @@ class FleetWorker:
             return [self.campaign]
         return self.service.campaigns()
 
-    def _queue_for(self, cid: str) -> FleetQueue:
+    def _queue_for(self, cid: str) -> JobQueue:
         queue = self._queues.get(cid)
         if queue is None:
-            path = self.service._campaign_dir(cid) / "queue.jsonl"
-            queue = FleetQueue(path, self.worker_id,
-                               lease_s=self.lease_s, clock=self.clock)
-            self._queues[cid] = queue
+            queue = self._queues[cid] = self.service._queue(
+                cid, self.worker_id, lease_s=self.lease_s, clock=self.clock)
         return queue
 
     def _spec_for(self, cid: str):
@@ -397,22 +194,18 @@ class FleetWorker:
         """(cid, queue, job) for the first claimable cell, or None."""
         for cid in self._campaigns():
             queue = self._queue_for(cid)
-            job = queue.claim_leased()
+            job = queue.claim()
             if job is not None:
                 self.stats.claimed += 1
                 return cid, queue, job
         return None
 
     def drained(self) -> bool:
-        """True when every job of every campaign in scope is terminal."""
-        for cid in self._campaigns():
-            queue = self._queue_for(cid)
-            with queue._lock.held():
-                queue.refresh()
-            if any(j.status in (PENDING, CLAIMED)
-                   for j in queue.jobs.values()):
-                return False
-        return True
+        """True when every job of every campaign in scope is terminal,
+        as read by the claim attempt that just found nothing to claim."""
+        return not any(job.status in (PENDING, CLAIMED)
+                       for cid in self._campaigns()
+                       for job in self._queue_for(cid).jobs.values())
 
     # -- the loop --------------------------------------------------------
 
@@ -451,7 +244,7 @@ class FleetWorker:
     def _busy(self) -> list[_Slot]:
         return [slot for slot in self._slots if slot.attempt is not None]
 
-    def _start(self, cid: str, queue: FleetQueue, job: Job,
+    def _start(self, cid: str, queue: JobQueue, job: Job,
                tmpdir: str) -> None:
         """Serve *job* from the store, or send it to a slot."""
         key = None
@@ -534,7 +327,7 @@ class FleetWorker:
                 slot.attempt = None
                 self._settle(attempt, timed_out=True)
             elif self.clock() >= attempt.renew_at:
-                attempt.queue.renew_lease(attempt.job)
+                attempt.queue.renew(attempt.job)
                 attempt.renew_at = \
                     self.clock() + self.lease_s * RENEW_FRACTION
 
@@ -621,10 +414,10 @@ class FleetWorker:
             self._deliver(failure_cell(job, spec.timeout,
                                        time.monotonic() - attempt.started))
 
-    def _record(self, queue: FleetQueue, job: Job, tally: str,
+    def _record(self, queue: JobQueue, job: Job, tally: str,
                 transition: str, **kw) -> bool:
         """Record *transition* iff we still hold *job*; tally it."""
-        if not queue.finish_leased(job, transition, **kw):
+        if not getattr(queue, transition)(job, **kw):
             self.stats.lease_lost += 1
             return False
         setattr(self.stats, tally, getattr(self.stats, tally) + 1)
@@ -642,34 +435,24 @@ class FleetWorker:
             recorder.absorb(read_events(attempt.metrics_path, strict=strict))
 
 
-def run_worker(root: str | os.PathLike, *, worker_id: str | None = None,
-               slots: int = 1, lease_s: float = DEFAULT_LEASE_S,
-               poll_s: float = 0.2, drain: bool = False,
-               max_idle: float | None = None,
-               metrics_out: str | None = None) -> WorkerStats:
-    """One worker with *slots* cells in flight, optionally streaming its
-    metrics (and its cells', absorbed) to *metrics_out*.
-
-    Module-level (picklable) so tests can fork it as a process target.
-    """
-    worker = FleetWorker(root, worker_id=worker_id or default_worker_id(),
-                         lease_s=lease_s, poll_s=poll_s, slots=slots)
-    recording = contextlib.nullcontext()
-    if metrics_out is not None:
-        recording = obs.recording(obs.Recorder(
-            sinks=[obs.JsonlSink(metrics_out)]))
-    with recording, obs.span("worker", worker=worker.worker_id, slots=slots):
-        return worker.run(drain=drain, max_idle=max_idle)
-
-
 def run_fleet(root: str | os.PathLike, jobs: int, *,
+              worker_id: str | None = None,
               lease_s: float = DEFAULT_LEASE_S, poll_s: float = 0.2,
               drain: bool = False, max_idle: float | None = None,
               metrics_out: str | None = None) -> int:
     """``repro worker --jobs N``: one worker with *jobs* slots over
-    *root*; returns the slot count (``jobs == 0`` auto-sizes to
-    :func:`auto_jobs`)."""
-    slots = auto_jobs() if jobs == 0 else jobs
-    run_worker(root, slots=slots, lease_s=lease_s, poll_s=poll_s,
-               drain=drain, max_idle=max_idle, metrics_out=metrics_out)
-    return slots
+    *root* (0 = one per usable CPU), optionally streaming its metrics
+    (and its cells', absorbed) to *metrics_out*; returns the slot count.
+
+    Module-level (picklable) so tests can fork it as a process target.
+    """
+    worker = FleetWorker(root, worker_id=worker_id or default_worker_id(),
+                         lease_s=lease_s, poll_s=poll_s, slots=jobs)
+    recording = contextlib.nullcontext()
+    if metrics_out is not None:
+        recording = obs.recording(obs.Recorder(
+            sinks=[obs.JsonlSink(metrics_out)]))
+    with recording, obs.span("worker", worker=worker.worker_id,
+                             slots=worker.slots):
+        worker.run(drain=drain, max_idle=max_idle)
+    return worker.slots

@@ -1,6 +1,6 @@
-"""Durable on-disk job queue: a JSONL journal with claim/complete records.
+"""The campaign journal: the one reader and writer of ``queue.jsonl``.
 
-The queue is an append-only journal (``queue.jsonl``).  Every state
+A campaign's jobs live in an append-only journal.  Every state
 transition is one flushed-and-fsynced line::
 
     {"t": "submit",  "id": ..., "bomb": ..., "tool": ...}
@@ -11,28 +11,43 @@ transition is one flushed-and-fsynced line::
     {"t": "done",    "id": ..., "result": "computed"|"cached"|"timeout"|...}
     {"t": "exhaust", "id": ..., "reason": ...}
 
-Opening a queue replays the journal to reconstruct the jobs.
+:class:`JobQueue` is one worker's view of a journal that any number of
+worker processes, on any number of hosts sharing the filesystem, read
+and write together without running a cell twice:
+
+* opening a queue, and every :meth:`~JobQueue.refresh`, folds in the
+  complete lines appended since the last look (an incremental,
+  offset-tracked replay).  A line that does not parse is skipped; bytes
+  after the last newline are left for the next look;
+* every transition holds an exclusive ``flock`` on the sidecar
+  ``queue.jsonl.lock``, refreshes, then opens the journal, appends one
+  record per state change, fsyncs and closes it, so no file stays open
+  between transitions.  Bytes after the last newline seen under the
+  lock are a dead writer's torn tail: the record starts a fresh line;
+* a claim carries the worker id and a wall-clock ``lease_until``
+  deadline, which the holder renews while its cell runs.  Every claim
+  first sweeps: a claim whose lease lapsed (the worker was SIGKILLed,
+  OOM-killed, or its host died), or whose claimant is a process of this
+  host that no longer exists, is requeued (``service.lease_expired``,
+  ``service.requeues``), so a crashed worker's cell is re-run by a
+  survivor with its attempt count intact, never lost;
+* ``complete``, ``requeue`` and ``exhaust`` are recorded only while
+  this worker still holds the claim: a worker that stalled past its
+  lease and lost the job to a survivor drops its transition
+  (``service.lease_lost``) instead of double-completing.
+
 ``not_before`` implements retry backoff without a scheduler thread: a
 requeued job is pending but unclaimable until its backoff deadline.
-A truncated trailing line (torn write on power loss) is ignored.
-
-Multi-writer coordination (worker processes sharing one journal over a
-filesystem) is layered on top by
-:class:`repro.service.fleet.FleetQueue`, which adds an exclusive lock
-around transitions and **lease-based claims**: a claim carries a
-wall-clock ``lease_until`` deadline, a live worker renews it with
-``renew`` records, and a claim whose lease expired (the worker was
-SIGKILLed, lost power, or vanished) or whose claimant process on this
-host is gone is requeued by whichever worker observes it.  Replay
-therefore preserves claims: only that sweep takes a claim back, so a
-cell is re-run after a crash with its attempt count intact, never lost,
-and never double-counted.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import socket
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +58,32 @@ PENDING = "pending"
 CLAIMED = "claimed"
 DONE = "done"
 EXHAUSTED = "exhausted"
+
+#: Default lease duration; a worker renews at half-life, so a lease is
+#: only allowed to expire when the holder missed >= 2 heartbeats.
+DEFAULT_LEASE_S = 30.0
+
+
+def default_worker_id() -> str:
+    return f"{socket.gethostname()}:{os.getpid()}"
+
+
+def _gone_local(worker: str | None) -> bool:
+    """True when *worker* is ``<this host>:<pid>`` and that pid is gone.
+
+    A false positive (two containers sharing a hostname) only costs a
+    duplicate run, whose stale transition is dropped.
+    """
+    host, _, pid = (worker or "").rpartition(":")
+    if host != socket.gethostname() or not pid.isdigit():
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # EPERM: alive, owned by another user
+        pass
+    return False
 
 
 @dataclass
@@ -68,37 +109,52 @@ class Job:
 
 
 class JobQueue:
-    """Journal-backed job queue."""
+    """One worker's view of a campaign journal.
 
-    def __init__(self, path: str | os.PathLike):
+    *worker_id* names this worker's claims and *lease_s* their lease;
+    *clock* is the fleet's wall clock, which stamps leases and is
+    compared with them and with backoff deadlines.
+    """
+
+    def __init__(self, path: str | os.PathLike, worker_id: str | None = None,
+                 *, lease_s: float = DEFAULT_LEASE_S, clock=time.time):
         self.path = Path(path)
+        self.worker_id = worker_id or default_worker_id()
+        self.lease_s = lease_s
+        self.clock = clock
+        #: Every job, in submission order.
         self.jobs: dict[str, Job] = {}
-        self._order: list[str] = []
-        if self.path.exists():
-            self._replay()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fp = self.path.open("a", encoding="utf-8")
+        self._lock_path = self.path.with_name(self.path.name + ".lock")
+        self._offset = 0
+        #: Bytes after the last newline at the last refresh.
+        self._tail = 0
+        self.refresh()
 
     # -- journal ---------------------------------------------------------
 
-    def _replay(self) -> None:
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
+    def refresh(self) -> None:
+        """Fold in the complete lines appended since the last look."""
+        try:
+            with self.path.open("rb") as fp:
+                fp.seek(self._offset)
+                data = fp.read()
+        except FileNotFoundError:
+            return
+        end = data.rfind(b"\n") + 1
+        for line in data[:end].split(b"\n"):
             try:
                 record = json.loads(line)
             except ValueError:
-                continue  # torn trailing write
+                continue  # blank, or torn by a writer that died
             self._apply(record)
+        self._offset += end
+        self._tail = len(data) - end
 
     def _apply(self, record: dict) -> None:
         kind = record.get("t")
         if kind == "submit":
-            job = Job(record["id"], record["bomb"], record["tool"])
-            if job.job_id not in self.jobs:
-                self.jobs[job.job_id] = job
-                self._order.append(job.job_id)
+            self.jobs.setdefault(record["id"], Job(
+                record["id"], record["bomb"], record["tool"]))
             return
         job = self.jobs.get(record.get("id"))
         if job is None:
@@ -129,71 +185,115 @@ class JobQueue:
             job.reason = record.get("reason")
             job.lease_until = None
 
+    @contextmanager
+    def _locked(self):
+        """Hold the journal's lock, with every record read."""
+        fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            self.refresh()
+            yield
+        finally:
+            os.close(fd)  # releases the lock
+
     def _append(self, record: dict) -> None:
+        """Append *record* (the lock held) and apply it."""
+        line = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        with self.path.open("ab") as fp:
+            fp.write(b"\n" + line if self._tail else line)
+            fp.flush()
+            os.fsync(fp.fileno())
+            self._offset = fp.tell()
+        self._tail = 0
         self._apply(record)
-        self._fp.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._fp.flush()
-        os.fsync(self._fp.fileno())
 
-    # -- operations ------------------------------------------------------
+    # -- transitions -----------------------------------------------------
 
-    def submit(self, cells: list[tuple[str, str]],
-               prefix: str = "job") -> list[Job]:
+    def submit(self, cells: list[tuple[str, str]]) -> list[Job]:
         """Enqueue one job per (bomb, tool) cell, in order."""
-        jobs = []
-        for index, (bomb_id, tool) in enumerate(cells):
-            job_id = f"{prefix}-{index:04d}"
-            self._append({"t": "submit", "id": job_id,
-                          "bomb": bomb_id, "tool": tool})
-            jobs.append(self.jobs[job_id])
-        obs.count("service.jobs_submitted", len(jobs))
-        return jobs
+        ids = [f"job-{index:04d}" for index in range(len(cells))]
+        with self._locked():
+            for job_id, (bomb_id, tool) in zip(ids, cells):
+                self._append({"t": "submit", "id": job_id,
+                              "bomb": bomb_id, "tool": tool})
+        obs.count("service.jobs_submitted", len(ids))
+        return [self.jobs[job_id] for job_id in ids]
 
-    def claim(self, worker: str, now: float,
-              lease_until: float) -> Job | None:
-        """Atomically claim the next ready pending job (FIFO), if any.
+    def claim(self) -> Job | None:
+        """Claim the next ready pending job (FIFO), if any, with a fresh
+        lease.
 
-        *now* and *lease_until* are on the journal's clock, the fleet's
-        wall clock; *lease_until* is recorded in the claim so other
-        journal readers can detect a dead claimant.
+        First the expiry sweep: every claim whose lease lapsed, or whose
+        claimant is a process of this host that no longer exists, is
+        requeued, so the dead worker's cell is claimable at once,
+        possibly by this very call.
         """
-        for job_id in self._order:
-            job = self.jobs[job_id]
-            if job.status == PENDING and job.not_before <= now:
-                self._append({"t": "claim", "id": job_id, "worker": worker,
-                              "attempt": job.attempts + 1,
-                              "lease_until": lease_until})
-                obs.count("service.jobs_claimed")
-                obs.observe("service.queue_depth", float(self.depth()))
-                return job
+        with self._locked():
+            now = self.clock()
+            for job in self.jobs.values():
+                if job.status == CLAIMED and (
+                        job.lease_until is not None and job.lease_until <= now
+                        or _gone_local(job.worker)):
+                    obs.count("service.lease_expired")
+                    obs.count("service.requeues")
+                    obs.count("service.jobs_requeued")
+                    self._append({"t": "requeue", "id": job.job_id,
+                                  "reason": f"lease expired "
+                                            f"(worker {job.worker})",
+                                  "not_before": 0.0})
+            for job in self.jobs.values():
+                if job.status == PENDING and job.not_before <= now:
+                    self._append({"t": "claim", "id": job.job_id,
+                                  "worker": self.worker_id,
+                                  "attempt": job.attempts + 1,
+                                  "lease_until": now + self.lease_s})
+                    obs.count("service.jobs_claimed")
+                    obs.observe("service.queue_depth", float(self.depth()))
+                    return job
         return None
 
-    def renew(self, job_id: str, worker: str, lease_until: float) -> None:
-        """Extend *worker*'s lease on a claimed job (fleet heartbeat)."""
-        self._append({"t": "renew", "id": job_id, "worker": worker,
-                      "lease_until": lease_until})
+    def renew(self, job: Job) -> None:
+        """Heartbeat: extend this worker's lease while *job* runs."""
+        with self._locked():
+            self._append({"t": "renew", "id": job.job_id,
+                          "worker": self.worker_id,
+                          "lease_until": self.clock() + self.lease_s})
         obs.count("service.lease_renewals")
 
-    def complete(self, job_id: str, result: str = "computed") -> None:
-        self._append({"t": "done", "id": job_id, "result": result})
-        obs.count("service.jobs_completed")
+    def complete(self, job: Job, result: str = "computed") -> bool:
+        """Record *job* done; *result* says how (computed, cached...)."""
+        return self._finish(job, "service.jobs_completed",
+                            {"t": "done", "id": job.job_id,
+                             "result": result})
 
-    def requeue(self, job_id: str, reason: str,
-                not_before: float = 0.0) -> None:
-        """Return a claimed job to the pending set (worker crash path)."""
-        self._append({"t": "requeue", "id": job_id, "reason": reason,
-                      "not_before": not_before})
-        obs.count("service.jobs_requeued")
+    def requeue(self, job: Job, reason: str, not_before: float = 0.0) -> bool:
+        """Return *job* to the pending set, claimable from *not_before*."""
+        return self._finish(job, "service.jobs_requeued",
+                            {"t": "requeue", "id": job.job_id,
+                             "reason": reason, "not_before": not_before})
 
-    def exhaust(self, job_id: str, reason: str) -> None:
-        """Give up on a job after bounded retries."""
-        self._append({"t": "exhaust", "id": job_id, "reason": reason})
-        obs.count("service.jobs_exhausted")
+    def exhaust(self, job: Job, reason: str) -> bool:
+        """Give up on *job* after bounded retries."""
+        return self._finish(job, "service.jobs_exhausted",
+                            {"t": "exhaust", "id": job.job_id,
+                             "reason": reason})
+
+    def _finish(self, job: Job, counter: str, record: dict) -> bool:
+        """Record a terminal *record* iff this worker still holds *job*."""
+        with self._locked():
+            current = self.jobs.get(job.job_id)
+            if current is None or current.status != CLAIMED \
+                    or current.worker != self.worker_id:
+                obs.count("service.lease_lost")
+                return False
+            self._append(record)
+        obs.count(counter)
+        return True
 
     # -- queries ---------------------------------------------------------
 
     def ordered_jobs(self) -> list[Job]:
-        return [self.jobs[job_id] for job_id in self._order]
+        return list(self.jobs.values())
 
     def depth(self) -> int:
         """Jobs not yet terminally resolved."""
@@ -205,15 +305,3 @@ class JobQueue:
         for job in self.jobs.values():
             out[job.status] += 1
         return out
-
-    def close(self) -> None:
-        if self._fp is not None:
-            self._fp.close()
-            self._fp = None
-
-    def __enter__(self) -> "JobQueue":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False

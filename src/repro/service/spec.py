@@ -99,15 +99,16 @@ def parse_spec_text(text: str, fmt: str = "json") -> dict:
     return doc
 
 
-def load_spec_file(path: str | os.PathLike):
-    """Load and validate a spec file; format chosen by extension."""
+def load_spec_file(path: str | os.PathLike) -> dict:
+    """Parse a spec file into a document for :func:`build_spec`; format
+    chosen by extension."""
     path = Path(path)
     fmt = "toml" if path.suffix.lower() == ".toml" else "json"
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise SpecError(f"cannot read spec {path}: {err.strerror}")
-    return build_spec(parse_spec_text(text, fmt))
+    return parse_spec_text(text, fmt)
 
 
 # -- selector resolution ----------------------------------------------------

@@ -325,7 +325,9 @@ class TestAbortedSpans:
         sink = obs.MemorySink()
         rec = obs.Recorder(sinks=[sink])
         with obs.recording(rec, close=False):
-            cell = run_cell(get_bomb("cf_aes"), "angrx", timeout=0.4)
+            result = run_table2(bomb_ids=("cf_aes",), tools=("angrx",),
+                                timeout=0.4)
+        cell = result.cells[("cf_aes", "angrx")]
         assert str(cell.outcome) == "E"
         assert cell.infra_failure
         aborted = [e for e in sink.events if e["t"] == "span"

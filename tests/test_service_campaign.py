@@ -33,6 +33,7 @@ from repro.service import (
     fingerprint,
     run_fleet,
 )
+from repro.service.executor import _mp_context
 
 from .test_service_store import edited_copy
 
@@ -178,19 +179,37 @@ class TestFaultTolerance:
             self, service):
         import socket
 
-        from repro.service import FleetQueue
-        from repro.service.executor import _mp_context
-
         cid = service.submit(CampaignSpec(bombs=BOMBS, tools=("tritonx",)))
         gone = _mp_context().Process(target=os.getpid)
         gone.start()
         gone.join()
         # A driver that died mid-cell: its claim holds a 30 s lease.
-        FleetQueue(service._campaign_dir(cid) / "queue.jsonl",
-                   f"{socket.gethostname()}:{gone.pid}").claim_leased()
+        service._queue(cid, f"{socket.gethostname()}:{gone.pid}").claim()
         report = service.run(cid)
         assert report.stats["computed"] == 2
         assert service.status(cid)["states"]["done"] == 2
+
+
+def _run_campaign(root, cid):
+    CampaignService(root).run(cid)
+
+
+class TestAutoSlots:
+    def test_a_jobs_zero_campaign_drains(self, service):
+        cid = service.submit(CampaignSpec(bombs=("cp_stack",),
+                                          tools=("tritonx",), jobs=0))
+        # Forked and joined with a timeout: a run that never claims a
+        # cell must fail this test, not hang the suite.
+        child = _mp_context().Process(target=_run_campaign,
+                                      args=(str(service.root), cid))
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("a campaign with jobs 0 never drained")
+        assert child.exitcode == 0
+        assert service.status(cid)["states"]["done"] == 1
 
 
 class TestTimeouts:

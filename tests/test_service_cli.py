@@ -68,9 +68,22 @@ class TestCampaignVerbs:
         assert "pending=   1" in listing
 
     def test_submit_rejects_bad_jobs(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="jobs"):
             run_cli(["campaign", "submit", "--root", str(tmp_path),
-                     "--jobs", "0"])
+                     "--jobs", "-1"])
+
+    def test_submit_rejects_an_unknown_bomb(self, tmp_path):
+        root = tmp_path / "svc"
+        with pytest.raises(SystemExit, match="no_such_bomb"):
+            run_cli(["campaign", "submit", "--root", str(root),
+                     "--bombs", "no_such_bomb", "--tools", "tritonx",
+                     "--run"])
+        assert list(root.glob("campaigns/*")) == []
+
+    def test_run_rejects_negative_jobs(self, tmp_path):
+        with pytest.raises(SystemExit, match="--jobs"):
+            run_cli(["campaign", "run", "c00000000-1", "--root",
+                     str(tmp_path), "--jobs", "-1"])
 
 
 class TestSpecSubmit:
@@ -88,6 +101,21 @@ class TestSpecSubmit:
         assert run_cli(["campaign", "submit", "--root", root,
                         "--spec", str(toml)]) == 0
         assert "1 bombs x 1 tools = 1 cells" in capsys.readouterr().out
+
+    def test_flags_override_the_spec_documents_keys(self, tmp_path,
+                                                    capsys):
+        root = tmp_path / "svc"
+        spec = tmp_path / "run.json"
+        spec.write_text(json.dumps({"bombs": ["cp_stack"],
+                                    "tools": ["tritonx"], "retries": 1,
+                                    "name": "nightly"}))
+        assert run_cli(["campaign", "submit", "--root", str(root),
+                        "--spec", str(spec), "--jobs", "0",
+                        "--retries", "3"]) == 0
+        cid = re.search(r"submitted (\S+):", capsys.readouterr().out)[1]
+        doc = json.loads((root / "campaigns" / cid / "spec.json").read_text())
+        assert (doc["bombs"], doc["jobs"], doc["retries"], doc["name"]) == \
+            (["cp_stack"], 0, 3, "nightly")
 
     def test_spec_conflicts_with_matrix_flags(self, tmp_path):
         spec = tmp_path / "run.json"

@@ -38,47 +38,45 @@ from repro.service import (
     KILL_CELL_ENV,
     CampaignService,
     CampaignSpec,
-    FleetQueue,
     FleetWorker,
     auto_jobs,
     image_digest,
     run_fleet,
-    run_worker,
 )
 from repro.service import fleet
 from repro.service.executor import _mp_context
-from repro.service.queue import CLAIMED, DONE, PENDING, JobQueue
+from repro.service.queue import CLAIMED, DONE, JobQueue
 
 BOMBS = ("cp_stack", "sv_time")
 
 
 def make_queue(tmp_path, n_jobs=4):
     path = tmp_path / "queue.jsonl"
-    seed = JobQueue(path)
-    seed.submit([(f"bomb{i}", "tool") for i in range(n_jobs)])
-    seed.close()
+    JobQueue(path).submit([(f"bomb{i}", "tool") for i in range(n_jobs)])
     return path
 
 
 class TestFleetQueue:
+    """The journal's multi-writer protocol, one :class:`JobQueue` per
+    worker over one shared file."""
+
     def test_claims_are_disjoint_and_mutually_visible(self, tmp_path):
         path = make_queue(tmp_path)
-        alpha = FleetQueue(path, "alpha")
-        beta = FleetQueue(path, "beta")
-        a = alpha.claim_leased()
-        b = beta.claim_leased()
+        alpha = JobQueue(path, "alpha")
+        beta = JobQueue(path, "beta")
+        a = alpha.claim()
+        b = beta.claim()
         assert a.job_id != b.job_id
-        # Each side sees the other's claim after its next locked refresh.
-        with alpha._lock.held():
-            alpha.refresh()
+        # Each side sees the other's claim after its next refresh.
+        alpha.refresh()
         assert alpha.jobs[b.job_id].worker == "beta"
         assert alpha.jobs[b.job_id].status == CLAIMED
 
     def test_refresh_is_incremental_and_idempotent(self, tmp_path):
         path = make_queue(tmp_path)
-        queue = FleetQueue(path, "alpha")
-        job = queue.claim_leased()
-        queue.finish_leased(job, "complete", result="computed")
+        queue = JobQueue(path, "alpha")
+        job = queue.claim()
+        queue.complete(job, result="computed")
         before = dict(queue.jobs[job.job_id].__dict__)
         # Re-applying our own already-folded records must converge.
         queue._offset = 0
@@ -88,16 +86,16 @@ class TestFleetQueue:
     def test_expired_lease_is_swept_and_reclaimed(self, tmp_path):
         path = make_queue(tmp_path, n_jobs=1)
         now = [1000.0]
-        dead = FleetQueue(path, "dead", lease_s=5.0, clock=lambda: now[0])
-        job = dead.claim_leased()
+        dead = JobQueue(path, "dead", lease_s=5.0, clock=lambda: now[0])
+        job = dead.claim()
         assert job.lease_until == 1005.0
-        survivor = FleetQueue(path, "survivor", lease_s=5.0,
-                              clock=lambda: now[0])
-        assert survivor.claim_leased() is None  # lease still live
+        survivor = JobQueue(path, "survivor", lease_s=5.0,
+                            clock=lambda: now[0])
+        assert survivor.claim() is None  # lease still live
         now[0] = 1006.0
         rec = obs.Recorder()
         with obs.recording(rec, close=False):
-            reclaimed = survivor.claim_leased()
+            reclaimed = survivor.claim()
         assert reclaimed is not None and reclaimed.job_id == job.job_id
         assert reclaimed.worker == "survivor"
         assert reclaimed.attempts == 2
@@ -111,77 +109,72 @@ class TestFleetQueue:
         gone = _mp_context().Process(target=os.getpid)
         gone.start()
         gone.join()
-        dead = FleetQueue(path, f"{socket.gethostname()}:{gone.pid}",
-                          lease_s=3600.0)
-        job = dead.claim_leased()
-        survivor = FleetQueue(path, "survivor", lease_s=3600.0)
+        dead = JobQueue(path, f"{socket.gethostname()}:{gone.pid}",
+                        lease_s=3600.0)
+        job = dead.claim()
+        survivor = JobQueue(path, "survivor", lease_s=3600.0)
         rec = obs.Recorder()
         with obs.recording(rec, close=False):
-            reclaimed = survivor.claim_leased()
+            reclaimed = survivor.claim()
         assert reclaimed is not None and reclaimed.job_id == job.job_id
         assert reclaimed.attempts == 2
         assert rec.snapshot()["counters"]["service.lease_expired"] == 1
 
     def test_live_local_claimant_keeps_its_claim(self, tmp_path):
         path = make_queue(tmp_path, n_jobs=1)
-        holder = FleetQueue(path, f"{socket.gethostname()}:{os.getpid()}",
-                            lease_s=3600.0)
-        job = holder.claim_leased()
-        rival = FleetQueue(path, "rival", lease_s=3600.0)
-        assert rival.claim_leased() is None
+        holder = JobQueue(path, f"{socket.gethostname()}:{os.getpid()}",
+                          lease_s=3600.0)
+        job = holder.claim()
+        rival = JobQueue(path, "rival", lease_s=3600.0)
+        assert rival.claim() is None
         assert rival.jobs[job.job_id].status == CLAIMED
 
     def test_renewal_keeps_a_long_cell_alive(self, tmp_path):
         path = make_queue(tmp_path, n_jobs=1)
         now = [0.0]
-        holder = FleetQueue(path, "holder", lease_s=5.0,
-                            clock=lambda: now[0])
-        job = holder.claim_leased()
+        holder = JobQueue(path, "holder", lease_s=5.0, clock=lambda: now[0])
+        job = holder.claim()
         now[0] = 4.0
-        holder.renew_lease(job)          # heartbeat at t=4: lease to t=9
+        holder.renew(job)                # heartbeat at t=4: lease to t=9
         now[0] = 6.0                     # past the original deadline
-        rival = FleetQueue(path, "rival", lease_s=5.0, clock=lambda: now[0])
-        assert rival.claim_leased() is None
+        rival = JobQueue(path, "rival", lease_s=5.0, clock=lambda: now[0])
+        assert rival.claim() is None
         assert rival.jobs[job.job_id].worker == "holder"
 
     def test_stalled_worker_drops_its_stale_transition(self, tmp_path):
         path = make_queue(tmp_path, n_jobs=1)
         now = [0.0]
-        stalled = FleetQueue(path, "stalled", lease_s=5.0,
-                             clock=lambda: now[0])
-        job = stalled.claim_leased()
+        stalled = JobQueue(path, "stalled", lease_s=5.0,
+                           clock=lambda: now[0])
+        job = stalled.claim()
         now[0] = 10.0                    # stalled far past its lease
-        rival = FleetQueue(path, "rival", lease_s=5.0, clock=lambda: now[0])
-        taken = rival.claim_leased()
+        rival = JobQueue(path, "rival", lease_s=5.0, clock=lambda: now[0])
+        taken = rival.claim()
         assert taken.worker == "rival"
         rec = obs.Recorder()
         with obs.recording(rec, close=False):
-            landed = stalled.finish_leased(job, "complete",
-                                           result="computed")
+            landed = stalled.complete(job, result="computed")
         assert landed is False           # the survivor owns the job now
         assert rec.snapshot()["counters"]["service.lease_lost"] == 1
-        assert rival.finish_leased(taken, "complete", result="computed")
-        with stalled._lock.held():
-            stalled.refresh()
+        assert rival.complete(taken, result="computed")
+        stalled.refresh()
         assert stalled.jobs[job.job_id].status == DONE
 
 
 def _hammer(path, worker_id, out_path):
     """Claim-and-complete loop for the concurrency test (forked)."""
-    queue = FleetQueue(path, worker_id)
+    queue = JobQueue(path, worker_id)
     claimed = []
     while True:
-        job = queue.claim_leased()
+        job = queue.claim()
         if job is None:
-            with queue._lock.held():
-                queue.refresh()
-            if not any(j.status in (PENDING, CLAIMED)
-                       for j in queue.jobs.values()):
+            # The claim read the whole journal under the lock.
+            if not queue.depth():
                 break
             time.sleep(0.001)
             continue
         claimed.append(job.job_id)
-        queue.finish_leased(job, "complete", result="computed")
+        queue.complete(job, result="computed")
     Path(out_path).write_text(json.dumps(claimed))
 
 
@@ -208,9 +201,7 @@ class TestNoDoubleExecution:
         # coverage, zero overlap.
         assert len(flat) == n_jobs
         assert len(set(flat)) == n_jobs
-        final = JobQueue(path)
-        assert all(j.status == DONE for j in final.jobs.values())
-        final.close()
+        assert all(j.status == DONE for j in JobQueue(path).jobs.values())
 
 
 class TestFleetWorker:
@@ -299,6 +290,9 @@ class TestFleetWorker:
         n = auto_jobs()
         assert isinstance(n, int) and n >= 1
 
+    def test_zero_slots_means_one_per_usable_cpu(self, tmp_path):
+        assert FleetWorker(tmp_path / "svc", slots=0).slots == auto_jobs()
+
 
 class TestSigkillRecovery:
     def test_sigkilled_workers_cell_is_requeued_and_completed(
@@ -318,7 +312,7 @@ class TestSigkillRecovery:
 
         ctx = _mp_context()
         doomed = ctx.Process(
-            target=run_worker, args=(str(root),),
+            target=run_fleet, args=(str(root), 1),
             kwargs={"worker_id": "doomed", "lease_s": 0.5,
                     "poll_s": 0.01, "drain": True})
         doomed.start()
@@ -473,9 +467,8 @@ class TestSlots:
             bombs=("cp_stack",),
             tools=("angrx", "sandshrewx", "tritonx", "bapx")))
         doomed = _mp_context().Process(
-            target=run_worker, args=(str(root),),
-            kwargs={"worker_id": "doomed", "slots": 2, "poll_s": 0.01,
-                    "drain": True})
+            target=run_fleet, args=(str(root), 2),
+            kwargs={"worker_id": "doomed", "poll_s": 0.01, "drain": True})
         doomed.start()
         deadline = time.monotonic() + 30
         while len(list(slot_pids.iterdir())) < 2:
