@@ -278,11 +278,12 @@ class Recorder:
     def absorb(self, events: list[dict]) -> None:
         """Merge another recorder's flushed event stream into this one.
 
-        The parallel evaluation harness records each worker process to
-        its own JSONL stream and folds them back into the parent's
-        recorder with this method: span events update ``span_stats``
-        and are re-emitted verbatim to this recorder's sinks (so a
-        ``--metrics-out`` file still carries every per-cell event);
+        The fleet worker folds the events each slot sends with its
+        answer into its own recorder with this method, and ``repro
+        stats`` folds a JSONL file into a fresh one: span events update
+        ``span_stats`` and are re-emitted verbatim to this recorder's
+        sinks (so a ``--metrics-out`` file still carries every per-cell
+        event);
         ``counter`` summaries add into the counters; ``hist`` events
         replay their raw ``values`` into the histograms (a ``hist``
         event written before every stream carried its values has only

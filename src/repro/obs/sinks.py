@@ -37,8 +37,7 @@ class JsonlSink:
     boundaries and each line reaches the kernel as a single ``os.write``
     on a descriptor whose offset the forked processes share.  Lines from
     different processes interleave but never tear mid-line (short of a
-    crash mid-flush — which ``read_events(strict=False)`` absorbs by
-    dropping a torn final line).
+    crash mid-flush, whose torn last line ``read_events`` rejects).
     """
 
     def __init__(self, target):

@@ -3,8 +3,8 @@
 :func:`read_events` parses the JSONL events a
 :class:`~repro.obs.sinks.JsonlSink` wrote; ``repro stats`` folds them
 into a sink-less :class:`~repro.obs.core.Recorder` with ``absorb`` (the
-fleet's merge, exact for concatenated streams too) and
-:func:`render_stats` renders its ``snapshot()``.
+merge the fleet applies to its slots' events, exact for concatenated
+streams too) and :func:`render_stats` renders its ``snapshot()``.
 """
 
 from __future__ import annotations
@@ -13,24 +13,13 @@ import json
 from pathlib import Path
 
 
-def read_events(path, strict: bool = True) -> list[dict]:
-    """Parse a JSONL metrics file into a list of event dicts.
-
-    ``strict=False`` skips undecodable lines instead of raising — the
-    stream of a worker killed mid-write legitimately ends in a torn
-    line, and the executor still wants the events before it.
-    """
-    events = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if strict:
-                raise
-    return events
+def read_events(path) -> list[dict]:
+    """Parse a JSONL metrics file into a list of event dicts; a line
+    that does not parse, a torn last line included, raises
+    :class:`json.JSONDecodeError`."""
+    return [json.loads(line) for line in
+            Path(path).read_text(encoding="utf-8").splitlines()
+            if line.strip()]
 
 
 def render_stats(snapshot: dict, events: int) -> str:

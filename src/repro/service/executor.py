@@ -6,31 +6,29 @@ Every cell that runs outside the serial in-process loop — ``table2
 long-lived forked processes running :func:`_worker_main`.
 A slot receives one job at a time as JSON bytes over its
 ``multiprocessing`` connection, runs it with :func:`_attempt`, and
-replies once the result is persisted; it returns when the worker closes
-the connection (or dies).  :func:`_attempt` is the one place that drops
-the session (:mod:`repro.obs.session`) a slot inherits across ``fork``
-or kept from its previous job, and it gives every attempt three
-properties:
+answers with one JSON message, ``{"cell": <the store's cell document>,
+"events": <the attempt's recorder events, or null>}``; it returns when
+the worker closes the connection (or dies).  :func:`_attempt` is the
+one place that drops the session (:mod:`repro.obs.session`) a slot
+inherits across ``fork`` or kept from its previous job, and it gives
+every attempt three properties:
 
 * **wall-clock timeouts** — the worker kills a slot whose attempt
-  exceeds the per-cell budget, and a SIGTERM flushes in-flight spans
-  first, so killed cells still appear in traces;
+  exceeds the per-cell budget, and a SIGTERM sends the in-flight spans
+  first (with ``"cell": null``), so killed cells still appear in traces;
 * **crash isolation** — a slot dying mid-cell (OOM-kill, SIGKILL,
   interpreter abort) only loses that attempt; the worker requeues or
   exhausts the job and forks a fresh slot for the next one;
-* **exact metrics** — each attempt records to a private JSONL stream the
-  worker absorbs after a *successful* attempt or a terminal timeout, so
-  merged counters and stage spans never double-count retried attempts.
+* **exact metrics** — the worker absorbs an attempt's events only for a
+  computed cell or a terminal timeout, so merged counters and stage
+  spans never double-count retried attempts.
 
-Results travel through the filesystem as the store's cell document
-(:func:`~repro.service.store.encode_cell` to a temp file, then
-``os.replace``): a killed slot can leave no torn result, and the
-worker distinguishes "finished" (result file exists) from "died"
-(no file) purely by what survived.
+A connection delivers whole messages only: a message with a cell is
+"finished", a slot that hung up before one "died".
 
 Fault injection for tests: set ``REPRO_SERVICE_KILL_CELL=bomb:tool`` in
 the environment and the slot SIGKILLs itself on the first attempt of
-that cell, after the cell ran and before its result is persisted.
+that cell, after the cell ran and before its reply.
 """
 
 from __future__ import annotations
@@ -83,8 +81,8 @@ def infrastructure_failure_cell(bomb: Bomb, tool: str, detail: str,
 
 
 def _worker_main(conn, parent_end) -> None:
-    """Slot process: run each job received on *conn*, reply when its
-    result is persisted, and return once the worker closes its end.
+    """Slot process: run each job received on *conn*, answer it with
+    its message, and return once the worker closes its end.
 
     *parent_end* is the worker's end of the same pipe, inherited across
     ``fork``; closing it here is what lets the slot see EOF, and exit,
@@ -98,26 +96,30 @@ def _worker_main(conn, parent_end) -> None:
             job = json.loads(conn.recv_bytes())
         except (EOFError, ConnectionError):
             return
-        _attempt(**job)
+        reply = _attempt(conn, **job)
         try:
-            conn.send_bytes(json.dumps({"done": job["result_path"]}).encode())
+            conn.send_bytes(reply)
         except ConnectionError:
             return
 
 
-def _attempt(bomb_id: str, tool: str, attempt: int, result_path: str,
-             metrics_path: str | None, trace_ctx: list | None,
-             store_root: str | None) -> None:
-    """Evaluate one cell in this slot and persist its cell document.
+def _message(cell: dict | None, events: list | None) -> bytes:
+    """A slot's answer, encoded like a JSONL sink's lines."""
+    return json.dumps({"cell": cell, "events": events}, default=str).encode()
 
-    *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from the
-    worker, so the attempt's spans join the worker's trace and the
-    attribution profiler mirrors the worker's state.  A SIGTERM (the
-    timeout path) flushes in-flight spans with an ``aborted`` attribute
-    and the profiler's buckets before exiting, so killed cells still
-    appear in traces; the handler is removed when the attempt ends.
-    *store_root* names the result store, so lifts and fuzz corpora
-    persist exactly as in-process.
+
+def _attempt(conn, bomb_id: str, tool: str, attempt: int,
+             trace_ctx: list | None, store_root: str | None) -> bytes:
+    """Evaluate one cell in this slot and return its message.
+
+    *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from a
+    recording worker, so the attempt's spans join the worker's trace
+    and the attribution profiler mirrors the worker's state.  A SIGTERM
+    (the timeout path) sends in-flight spans with an ``aborted``
+    attribute and the profiler's buckets on *conn* before exiting, so
+    killed cells still appear in traces; the handler is removed when
+    the attempt ends.  *store_root* names the result store, so lifts
+    and fuzz corpora persist exactly as in-process.
     """
     store = None
     if store_root is not None:
@@ -131,20 +133,24 @@ def _attempt(bomb_id: str, tool: str, attempt: int, result_path: str,
     # worker's fds, and captures and collectors would be lost on exit.
     session.reset(session.Session(store=store))
     bomb = get_bomb(bomb_id)
-    if metrics_path is not None:
-        trace_id, parent_span_id, profiling_on = \
-            trace_ctx or (None, None, False)
-        recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
-                                trace_id=trace_id,
+    events = None
+    if trace_ctx is not None:
+        trace_id, parent_span_id, profiling_on = trace_ctx
+        sink = obs.MemorySink()
+        events = sink.events
+        recorder = obs.Recorder(sinks=[sink], trace_id=trace_id,
                                 parent_span_id=parent_span_id)
         profiler = obs.Profiler() if profiling_on else None
 
         def _terminated(signum, frame):
-            if profiler is not None:
-                profiler.flush_to(recorder)
-            recorder.abort_open_spans("sigterm")
-            recorder.close()
-            os._exit(128 + signal.SIGTERM)
+            try:
+                if profiler is not None:
+                    profiler.flush_to(recorder)
+                recorder.abort_open_spans("sigterm")
+                recorder.close()
+                conn.send_bytes(_message(None, events))
+            finally:
+                os._exit(128 + signal.SIGTERM)
 
         previous = signal.signal(signal.SIGTERM, _terminated)
         try:
@@ -158,10 +164,7 @@ def _attempt(bomb_id: str, tool: str, attempt: int, result_path: str,
     else:
         cell = run_cell(bomb, tool)
     if os.environ.get(KILL_CELL_ENV) == f"{bomb_id}:{tool}" and attempt == 1:
-        # After the metrics stream is complete: a worker that absorbed a
-        # crashed attempt's stream would count this cell twice.
+        # After the events are complete: a worker that absorbed a
+        # crashed attempt's events would count this cell twice.
         os.kill(os.getpid(), signal.SIGKILL)
-    tmp = result_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fp:
-        json.dump(encode_cell(cell), fp)
-    os.replace(tmp, result_path)
+    return _message(encode_cell(cell), events)

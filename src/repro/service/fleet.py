@@ -11,8 +11,9 @@ of up to *slots* long-lived slot processes running
 :func:`~repro.service.executor._worker_main` (forked on the first cell
 that misses the store, replaced only after it dies or is killed on a
 timeout), blocks on the slots' connections and process sentinels until
-one replies or dies, or the nearest deadline or lease renewal is due,
-and records the terminal transition.  Results go through the
+one answers with its cell and events or dies, or the nearest deadline
+or lease renewal is due, and records the terminal transition.  The
+connection is the only channel to a slot.  Results go through the
 content-addressed store, so even a stalled worker's overlap with the
 survivor that took its claim converges on byte-identical output.
 
@@ -27,14 +28,12 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from pathlib import Path
 
 from .. import obs
-from ..obs import read_events, session
+from ..obs import session
 from ..bombs import get_bomb
 from .executor import _mp_context, _worker_main, infrastructure_failure_cell
 from .fingerprint import cell_key
@@ -54,7 +53,7 @@ RENEW_FRACTION = 0.5
 #: Base of the exponential requeue backoff, in seconds.
 DEFAULT_BACKOFF = 0.05
 #: Grace period between SIGTERM and SIGKILL on timeout: long enough for
-#: the attempt's handler to flush partial spans, short enough that a
+#: the attempt's handler to send its partial spans, short enough that a
 #: wedged attempt barely delays the worker.
 _TERM_GRACE_S = 0.5
 
@@ -111,8 +110,6 @@ class _Attempt:
     queue: JobQueue
     job: Job
     key: str | None
-    result_path: str
-    metrics_path: str | None
     started: float
     deadline: float | None
     renew_at: float
@@ -128,13 +125,13 @@ class _Slot:
     attempt: _Attempt | None = None
 
 
-def _replied(conn) -> bool:
-    """Consume a slot's done message; False when the slot hung up."""
+def _reply(conn) -> dict | None:
+    """A slot's message, or None when the slot hung up before a whole
+    one."""
     try:
-        conn.recv_bytes()
+        return json.loads(conn.recv_bytes())
     except (EOFError, ConnectionError):
-        return False
-    return True
+        return None
 
 
 @dataclass
@@ -219,33 +216,31 @@ class FleetWorker:
         signalled.
         """
         idle_since = time.monotonic()
-        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmpdir:
-            try:
-                while True:
-                    while len(self._busy()) < self.slots:
-                        claimed = self.claim_next()
-                        if claimed is None:
-                            break
-                        idle_since = time.monotonic()
-                        self._start(*claimed, tmpdir)
-                    if self._busy():
-                        self._wait()
-                    elif drain and self.drained():
+        try:
+            while True:
+                while len(self._busy()) < self.slots:
+                    claimed = self.claim_next()
+                    if claimed is None:
                         break
-                    elif max_idle is not None and \
-                            time.monotonic() - idle_since >= max_idle:
-                        break
-                    else:
-                        time.sleep(self.poll_s)
-            finally:
-                self._stop()
+                    idle_since = time.monotonic()
+                    self._start(*claimed)
+                if self._busy():
+                    self._wait()
+                elif drain and self.drained():
+                    break
+                elif max_idle is not None and \
+                        time.monotonic() - idle_since >= max_idle:
+                    break
+                else:
+                    time.sleep(self.poll_s)
+        finally:
+            self._stop()
         return self.stats
 
     def _busy(self) -> list[_Slot]:
         return [slot for slot in self._slots if slot.attempt is not None]
 
-    def _start(self, cid: str, queue: JobQueue, job: Job,
-               tmpdir: str) -> None:
+    def _start(self, cid: str, queue: JobQueue, job: Job) -> None:
         """Serve *job* from the store, or send it to a slot."""
         key = None
         if self.store is not None:
@@ -258,23 +253,19 @@ class FleetWorker:
                     self._deliver(cached)
                 return
         on = session.current
-        result_path = str(Path(tmpdir) /
-                          f"{cid}-{job.job_id}-a{job.attempts}.json")
-        metrics_path = trace_ctx = None
+        trace_ctx = None
         if on.recorder is not None:
-            metrics_path = result_path + ".jsonl"
             trace_ctx = (on.recorder.trace_id, on.recorder.current_span_id(),
                          on.profiler is not None)
         slot = self._send(json.dumps({
             "bomb_id": job.bomb_id, "tool": job.tool,
-            "attempt": job.attempts, "result_path": result_path,
-            "metrics_path": metrics_path, "trace_ctx": trace_ctx,
+            "attempt": job.attempts, "trace_ctx": trace_ctx,
             "store_root": str(self.store.root)
             if self.store is not None else None}).encode())
         started = time.monotonic()
         timeout = self._spec_for(cid).timeout
         slot.attempt = _Attempt(
-            cid, queue, job, key, result_path, metrics_path, started,
+            cid, queue, job, key, started,
             started + timeout if timeout is not None else None,
             self.clock() + self.lease_s * RENEW_FRACTION)
 
@@ -314,18 +305,20 @@ class FleetWorker:
         for slot in busy:
             attempt = slot.attempt
             if slot.conn in ready or slot.proc.sentinel in ready:
+                # A message sent just before the slot died still counts.
+                message = _reply(slot.conn) if slot.conn.poll() else None
                 exitcode = None
-                if slot.proc.sentinel in ready or not _replied(slot.conn):
-                    # The slot died; a result it persisted first still
-                    # counts, else this is the crash path.
+                if slot.proc.sentinel in ready or message is None \
+                        or message["cell"] is None:
                     exitcode = self._retire(slot)
                 slot.attempt = None
-                self._settle(attempt, timed_out=False, exitcode=exitcode)
+                self._settle(attempt, message, timed_out=False,
+                             exitcode=exitcode)
             elif attempt.deadline is not None and \
                     time.monotonic() >= attempt.deadline:
-                self._kill(slot)
+                message = self._kill(slot)
                 slot.attempt = None
-                self._settle(attempt, timed_out=True)
+                self._settle(attempt, message, timed_out=True)
             elif self.clock() >= attempt.renew_at:
                 attempt.queue.renew(attempt.job)
                 attempt.renew_at = \
@@ -341,15 +334,18 @@ class FleetWorker:
         self._slots.remove(slot)
         return slot.proc.exitcode
 
-    def _kill(self, slot: _Slot) -> None:
-        """SIGTERM first: the attempt's handler flushes partial spans and
-        profiler buckets.  SIGKILL only a slot too wedged to honor it
-        within the grace period."""
+    def _kill(self, slot: _Slot) -> dict | None:
+        """SIGTERM first and return the slot's message: the attempt's
+        handler sends its partial spans and profiler buckets.  SIGKILL
+        only a slot that sent nothing within the grace period."""
         slot.proc.terminate()
-        slot.proc.join(_TERM_GRACE_S)
-        if slot.proc.exitcode is None:
+        message = None
+        if slot.conn.poll(_TERM_GRACE_S):
+            message = _reply(slot.conn)
+        if message is None:
             slot.proc.kill()
         self._retire(slot)
+        return message
 
     def _stop(self) -> None:
         """Kill any slot still running a cell (the loop raised), then
@@ -365,22 +361,21 @@ class FleetWorker:
 
     # -- attempt outcomes ------------------------------------------------
 
-    def _settle(self, attempt: _Attempt, *, timed_out: bool,
-                exitcode: int | None = None) -> None:
-        """Classify an attempt that ended and record its transition.
+    def _settle(self, attempt: _Attempt, message: dict | None, *,
+                timed_out: bool, exitcode: int | None = None) -> None:
+        """Classify an attempt that ended from its slot's *message* (None
+        when none came) and record its transition.
 
         Metrics are absorbed from successful attempts and terminal
         timeouts only: a crashed attempt is retried (or exhausted), and
-        absorbing its stream would count the cell twice.
+        absorbing its events would count the cell twice.
         """
         job, queue = attempt.job, attempt.queue
         spec = self._spec_for(attempt.cid)
-        if os.path.exists(attempt.result_path):
-            # Finished, possibly right at the deadline: the atomic
-            # rename means a persisted result is always whole.
-            with open(attempt.result_path, encoding="utf-8") as fp:
-                cell = decode_cell(json.load(fp), get_bomb(job.bomb_id))
-            self._absorb(attempt, strict=True)
+        if message is not None and message["cell"] is not None:
+            # Finished, possibly right at the deadline.
+            cell = decode_cell(message["cell"], get_bomb(job.bomb_id))
+            self._absorb(message)
             if self.store is not None:
                 # Store before completing: once the journal says done,
                 # any reader must find the result.
@@ -391,9 +386,8 @@ class FleetWorker:
             return
         if timed_out:
             obs.count("service.cells_timeout")
-            # Terminal, never retried; a last line torn by SIGKILL is
-            # skipped.
-            self._absorb(attempt, strict=False)
+            # Terminal, never retried: the spans the SIGTERM handler sent.
+            self._absorb(message)
             landed = self._record(queue, job, "timeouts", "complete",
                                   result="timeout")
         else:
@@ -428,11 +422,10 @@ class FleetWorker:
             self.on_cell(cell)
 
     @staticmethod
-    def _absorb(attempt: _Attempt, *, strict: bool) -> None:
+    def _absorb(message: dict | None) -> None:
         recorder = session.current.recorder
-        if recorder is not None and attempt.metrics_path is not None \
-                and os.path.exists(attempt.metrics_path):
-            recorder.absorb(read_events(attempt.metrics_path, strict=strict))
+        if recorder is not None and message and message["events"]:
+            recorder.absorb(message["events"])
 
 
 def run_fleet(root: str | os.PathLike, jobs: int, *,

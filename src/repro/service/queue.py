@@ -26,7 +26,7 @@ and write together without running a cell twice:
   lock are a dead writer's torn tail: the record starts a fresh line;
 * a claim carries the worker id and a wall-clock ``lease_until``
   deadline, which the holder renews while its cell runs.  Every claim
-  first sweeps: a claim whose lease lapsed (the worker was SIGKILLed,
+  also sweeps: a claim whose lease lapsed (the worker was SIGKILLed,
   OOM-killed, or its host died), or whose claimant is a process of this
   host that no longer exists, is requeued (``service.lease_expired``,
   ``service.requeues``), so a crashed worker's cell is re-run by a
@@ -223,13 +223,14 @@ class JobQueue:
         """Claim the next ready pending job (FIFO), if any, with a fresh
         lease.
 
-        First the expiry sweep: every claim whose lease lapsed, or whose
-        claimant is a process of this host that no longer exists, is
-        requeued, so the dead worker's cell is claimable at once,
-        possibly by this very call.
+        One walk under the lock also sweeps: every claim whose lease
+        lapsed, or whose claimant is a process of this host that no
+        longer exists, is requeued as the walk meets it, so the dead
+        worker's cell is claimable at once, possibly by this very call.
         """
         with self._locked():
             now = self.clock()
+            chosen, depth = None, 0
             for job in self.jobs.values():
                 if job.status == CLAIMED and (
                         job.lease_until is not None and job.lease_until <= now
@@ -241,16 +242,20 @@ class JobQueue:
                                   "reason": f"lease expired "
                                             f"(worker {job.worker})",
                                   "not_before": 0.0})
-            for job in self.jobs.values():
-                if job.status == PENDING and job.not_before <= now:
-                    self._append({"t": "claim", "id": job.job_id,
-                                  "worker": self.worker_id,
-                                  "attempt": job.attempts + 1,
-                                  "lease_until": now + self.lease_s})
-                    obs.count("service.jobs_claimed")
-                    obs.observe("service.queue_depth", float(self.depth()))
-                    return job
-        return None
+                if job.status in (PENDING, CLAIMED):
+                    depth += 1
+                if chosen is None and job.status == PENDING \
+                        and job.not_before <= now:
+                    chosen = job
+            if chosen is None:
+                return None
+            self._append({"t": "claim", "id": chosen.job_id,
+                          "worker": self.worker_id,
+                          "attempt": chosen.attempts + 1,
+                          "lease_until": now + self.lease_s})
+            obs.count("service.jobs_claimed")
+            obs.observe("service.queue_depth", float(depth))
+            return chosen
 
     def renew(self, job: Job) -> None:
         """Heartbeat: extend this worker's lease while *job* runs."""

@@ -53,8 +53,6 @@ class SymexPolicy:
     fp_search: bool = False
     #: Model files with symbolic contents (taint survives the kernel).
     faithful_fs: bool = False
-    #: Inline created threads at the call site (run-to-completion).
-    inline_threads: bool = False
     #: Model the kernel mailbox with expressions.
     model_mailbox: bool = False
     #: Model signal handlers for division faults.

@@ -44,7 +44,6 @@ REXX = SymexPolicy(
     env_symbolic=True,
     fp_search=True,
     faithful_fs=True,
-    inline_threads=True,
     model_mailbox=True,
     model_signals=True,
     honest_claims=True,

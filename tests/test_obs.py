@@ -264,7 +264,7 @@ class TestJsonlConcurrentWriters:
             # Each child's own lines land in order and none are lost.
             assert seen == list(range(self.N_EVENTS))
 
-    def test_torn_final_line_is_absorbed_non_strict(self, tmp_path):
+    def test_torn_final_line_is_rejected(self, tmp_path):
         path = tmp_path / "torn.jsonl"
         sink = JsonlSink(path)
         sink.emit({"t": "count", "name": "ok", "n": 1})
@@ -274,8 +274,8 @@ class TestJsonlConcurrentWriters:
             fp.write('{"t":"count","name":"torn","n')
         with pytest.raises(json.JSONDecodeError):
             read_events(path)
-        events = read_events(path, strict=False)
-        assert [e["name"] for e in events] == ["ok"]
+        with pytest.raises(SystemExit, match="not a JSONL event stream"):
+            main(["stats", str(path)])
 
 
 class TestOffMode:

@@ -69,8 +69,14 @@ class Api:
             return resp.status, json.loads(resp.read().decode())
 
     def stop(self):
+        async def _close():
+            self.server.close()
+            await self.server.wait_closed()
+
+        asyncio.run_coroutine_threadsafe(_close(), self.loop).result(10)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
+        self.loop.close()
 
 
 @pytest.fixture

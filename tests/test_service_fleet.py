@@ -18,7 +18,9 @@ The acceptance criteria under test (ISSUE 7):
 * cells run in at most *slots* long-lived slot processes: the loop makes
   a bounded number of ``wait`` calls per cell, a timed-out slot is
   replaced, and no slot outlives its worker, whether ``run`` returns or
-  raises, or the worker is SIGKILLed.
+  raises, or the worker is SIGKILLed;
+* a slot answers over its connection only: a run creates nothing in
+  the temporary directory.
 """
 
 import json
@@ -26,6 +28,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import tempfile
 import time
 from pathlib import Path
 
@@ -56,7 +59,7 @@ def make_queue(tmp_path, n_jobs=4):
     return path
 
 
-class TestFleetQueue:
+class TestSharedJournal:
     """The journal's multi-writer protocol, one :class:`JobQueue` per
     worker over one shared file."""
 
@@ -396,6 +399,22 @@ class TestSlots:
                             slots=2).run(drain=True)
         assert stats.computed == 4
         assert len(calls) <= 2 * 4, len(calls)
+
+    def test_slots_answer_over_their_connections_only(self, tmp_path,
+                                                      monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        seen = []
+        service = CampaignService(tmp_path / "svc")
+        service.submit(CampaignSpec(bombs=BOMBS, tools=("tritonx",)))
+        worker = FleetWorker(
+            tmp_path / "svc", worker_id="w0", slots=2, poll_s=0.01,
+            on_cell=lambda cell: seen.append(list(scratch.iterdir())))
+        with obs.recording(obs.Recorder(), close=False):
+            stats = worker.run(drain=True)
+        assert stats.computed == 2
+        assert seen == [[], []]
 
     @pytest.mark.parametrize("ending", ["drain", "timeout", "crash",
                                         "on_cell raises"])

@@ -6,6 +6,9 @@ workers sharing one journal (the sweep, renewals, stale transitions,
 forked claimants) are covered in test_service_fleet.py.
 """
 
+import json
+
+from repro import obs
 from repro.service import JobQueue
 from repro.service.queue import CLAIMED, DONE, EXHAUSTED, PENDING, Job
 
@@ -95,6 +98,31 @@ def test_requeue_backoff_gates_claims(tmp_path):
     now[0] = 1000.5
     ready = queue.claim()
     assert ready.job_id == job.job_id and ready.attempts == 2
+
+
+def test_one_claim_sweeps_picks_and_observes_depth(tmp_path):
+    # A done job, a lapsed claim, a pending job in backoff and a ready
+    # pending job: one claim requeues the lapsed claim, takes it (it
+    # comes first), and observes the three jobs not yet resolved.
+    path = tmp_path / "q.jsonl"
+    now = [NOW]
+    dead = JobQueue(path, "dead", lease_s=5.0, clock=lambda: now[0])
+    dead.submit(CELLS + [("sv_time", "bapx")])
+    dead.complete(dead.claim(), result="computed")
+    lapsed = dead.claim()
+    dead.requeue(dead.claim(), reason="worker died", not_before=1000.0)
+    now[0] = NOW + 10.0
+    survivor = clocked(path, "w1", now=now)
+    size = path.stat().st_size
+    rec = obs.Recorder()
+    with obs.recording(rec, close=False):
+        job = survivor.claim()
+    assert (job.job_id, job.attempts) == (lapsed.job_id, 2)
+    appended = [json.loads(line)
+                for line in path.read_bytes()[size:].splitlines()]
+    assert [(r["t"], r["id"]) for r in appended] == [
+        ("requeue", lapsed.job_id), ("claim", lapsed.job_id)]
+    assert rec.hists["service.queue_depth"] == [3.0]
 
 
 def test_torn_trailing_line_is_ignored(tmp_path):

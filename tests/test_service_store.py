@@ -46,11 +46,11 @@ from repro.vm import Environment
 GOLDEN_CAPABILITIES = {
     "bapx": "4e23a07226a3fcd145b0e5b4a30f0fea1d85c3d4e5c4c35839eef18223884625",
     "tritonx": "6bd1f905552fd3058b199466a42b6fc6f1da41568f84cb05817b5e321e39deca",
-    "angrx": "6f0660d1565508b3a4a724ebef74f701e35517e690fffedbf9fc160df5a010bf",
-    "angrx_nolib": "c4d52fe698d616515122c6822dec63ec82bfaedb138beab882b03044f1b55395",
-    "sandshrewx": "ead97f37cc9e2371cc92926f55158cedbd805cd224dd803323c9fdcde885118a",
+    "angrx": "c8fd61281c4012e7ff6e04c3c5353347ebc023f601f57966b73b5009ce966d45",
+    "angrx_nolib": "e9fadc319d84acaaf1fd64cf97851b23ecaba96c2abb419fb75cd25472c18636",
+    "sandshrewx": "f4517a78086becf6bec4ec9ca4a99ece3e1c1e02cb2c2b0d54e8bb6a27d25e84",
     "hybridx": "4862a37194f1d1770abfd36df3931a3f7c72450115c5b932c0c2fb964c825bf8",
-    "rexx": "b2efc53a9eaa715398b28876fbff6c467d4123c395232aa1f822876fa47ba94e",
+    "rexx": "20ebe44c3bd8f61bbb772c690d714fb28199ca7e7c7ea8806644602645473346",
 }
 GOLDEN_CELL_KEYS = {
     ("cp_stack", "tritonx"):
@@ -58,9 +58,9 @@ GOLDEN_CELL_KEYS = {
     ("sv_time", "hybridx"):
         "b0cafaa608246671994c06b0a399111663684ed1f7d29bff0ebdeaa08f5e48dd",
     ("cf_sha1", "sandshrewx"):
-        "9c900d864ed8ba6923ce4ef4c243f246273d8f301ed0e20cea7cb456e98cbbd1",
+        "ce8cc83bf83225f5c0463e790ec78a23eca2174e71eeb5de93d34e4426dd7cb2",
     ("sa_l1_array", "angrx_nolib"):
-        "2d347a98711849c5f4282af352672a7768bfaad7fa65f3933a85dbf2f493047e",
+        "102b1d83ba8fcfa82a259e05143f87ce6da943c73c855e7caf4e8a7d095f78ab",
 }
 #: Corpus keys of an ``sv_time`` campaign seeded with ``1``, under the
 #: default ``FuzzConfig`` and under ``HybridPolicy().fuzz_config()``.
